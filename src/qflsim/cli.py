@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -209,12 +210,11 @@ def _build_plan(config: dict, ds: Dataset) -> fed.ExperimentPlan:
         cond = None
         if config["condensation"] is not None:
             cond = _condense_spec(config["condensation"], config["seed"])
-        dp_pca = _dp_pca_spec(config["dp_pca"], config["features"]) if config["dp_pca"] else None
         return fed.ExperimentPlan(
             rounds=config["rounds"], device_count=devices, split=split,
             vqc_config=vqc_config, optimizer=config["optimizer"], aqgd=aqgd,
             spsa_maxiter=config["spsa_maxiter"], dp_optimizer=dp_opt,
-            param_noise=noise, dp_pca=dp_pca, pruning=pruning,
+            param_noise=noise, pruning=pruning,
             svd_qkd=config["svd_qkd"], qkd_only=config["qkd_only"],
             condensation=cond, seed=config["seed"],
         )
@@ -332,6 +332,9 @@ def cmd_run(config_path, out_override=None, seed_override=None) -> int:
             state.device_thetas = [np.array(t) for t in ckpt["device_thetas"]]
             state.theta_bar = np.array(ckpt["theta_bar"]) if ckpt["theta_bar"] else None
             start_round = ckpt["next_round"]
+            # drop any row written after the checkpoint; that round runs again
+            lines = csv_path.read_text().splitlines(keepends=True)
+            csv_path.write_text("".join(lines[: 1 + start_round]))
         else:
             with open(csv_path, "w") as fh:
                 fh.write(",".join(_csv_columns(plan.device_count)) + "\n")
@@ -339,11 +342,13 @@ def cmd_run(config_path, out_override=None, seed_override=None) -> int:
         def callback(cur_state: fed.FedState, record: fed.RoundRecord) -> None:
             with open(csv_path, "a") as fh:
                 fh.write(",".join(_record_row(record)) + "\n")
-            ckpt_path.write_text(json.dumps({
+            tmp_path = ckpt_path.with_name(ckpt_path.name + ".tmp")
+            tmp_path.write_text(json.dumps({
                 "next_round": record.round_index + 1,
                 "theta_bar": cur_state.theta_bar.tolist(),
                 "device_thetas": [t.tolist() for t in cur_state.device_thetas],
             }))
+            os.replace(tmp_path, ckpt_path)  # a crash mid-write keeps the old one
 
         fed.run_experiment(plan, ds, round_callback=callback, state=state,
                            start_round=start_round)

@@ -11,7 +11,7 @@ import numpy as np
 from . import modelshare, optimizers, qkd, vqc
 from .condense import CondenseSpec, condense
 from .data import Dataset, DeviceData, SplitPlan, shard
-from .dp import DpPcaSpec, NoiseMechanism, add_parameter_noise
+from .dp import NoiseMechanism, add_parameter_noise
 from .modelshare import PruneSpec
 from .optimizers import AqgdSettings, DpSettings
 
@@ -33,7 +33,6 @@ class ExperimentPlan:
     spsa_maxiter: int = 100
     dp_optimizer: DpSettings | None = None
     param_noise: NoiseMechanism | None = None
-    dp_pca: DpPcaSpec | None = None
     pruning: PruneSpec | None = None
     svd_qkd: bool = False
     qkd_only: bool = False
@@ -75,6 +74,9 @@ class FedState:
     devices: list[DeviceData]
     server_val: Dataset
     server_test: Dataset
+    # one objective per fixed dataset, so each is encoded once per experiment
+    device_objectives: list[tuple[vqc.DatasetObjective, vqc.DatasetObjective]]
+    server_objectives: tuple[vqc.DatasetObjective, vqc.DatasetObjective]
 
 
 def _rng(seed: int, device: int, round_t: int, stream: int) -> np.random.Generator:
@@ -95,7 +97,12 @@ def init_state(plan: ExperimentPlan, dataset: Dataset) -> FedState:
         _rng(plan.seed, k, 0, _STREAM_INIT).uniform(-np.pi, np.pi, n)
         for k in range(plan.device_count)
     ]
-    return FedState(thetas, None, devices, server_val, server_test)
+    def objective(ds: Dataset) -> vqc.DatasetObjective:
+        return vqc.DatasetObjective(ds.features, ds.labels, plan.vqc_config)
+
+    return FedState(thetas, None, devices, server_val, server_test,
+                    [(objective(d.train), objective(d.test)) for d in devices],
+                    (objective(server_val), objective(server_test)))
 
 
 def _condense_dataset(ds: Dataset, spec: CondenseSpec) -> Dataset:
@@ -105,9 +112,8 @@ def _condense_dataset(ds: Dataset, spec: CondenseSpec) -> Dataset:
     return Dataset(result.synthetic * 2.0 * np.pi, result.labels, ds.class_count, ds.name)
 
 
-def _train(plan: ExperimentPlan, theta: np.ndarray, train: Dataset, device: int,
-           round_t: int) -> np.ndarray:
-    objective = vqc.DatasetObjective(train.features, train.labels, plan.vqc_config)
+def _train(plan: ExperimentPlan, theta: np.ndarray, objective: vqc.DatasetObjective,
+           device: int, round_t: int) -> np.ndarray:
     rng = _rng(plan.seed, device, round_t, _STREAM_TRAIN)
     if plan.optimizer == "spsa":
         return optimizers.spsa_minimize(objective, theta, plan.spsa_maxiter, rng).theta_final
@@ -118,10 +124,9 @@ def _train(plan: ExperimentPlan, theta: np.ndarray, train: Dataset, device: int,
     return optimizers.aqgd_minimize(objective, theta, plan.aqgd).theta_final
 
 
-def _finetune(plan: ExperimentPlan, theta: np.ndarray, train: Dataset,
+def _finetune(plan: ExperimentPlan, theta: np.ndarray, objective: vqc.DatasetObjective,
               round_t: int) -> np.ndarray:
     # G+ adaptation: same optimizer family with a quarter of the budget
-    objective = vqc.DatasetObjective(train.features, train.labels, plan.vqc_config)
     rng = _rng(plan.seed, plan.device_count, round_t, _STREAM_TRAIN)  # server stream
     if plan.optimizer == "spsa":
         maxiter = max(1, plan.spsa_maxiter // 4)
@@ -142,7 +147,7 @@ def _package(plan: ExperimentPlan, theta: np.ndarray, device: int, round_t: int)
     if plan.svd_qkd:
         m1, m2 = modelshare.reshape_dims(theta.size)
         U, sigma, Vt = modelshare.svd_split(theta, m1, m2)
-        keys = qkd.bb84_exchange(64 * len(sigma), qkd_rng, check_fraction=0.0)
+        keys = qkd.bb84_exchange(64 * len(sigma), qkd_rng)
         blob = modelshare.encrypt_sigma(sigma, keys.sender_key)
         pkg = modelshare.SvdPackage(U=U, Vt=Vt, sigma_cipher=blob, m1=m1, m2=m2)
         # server side: decrypt and rank-truncated rebuild
@@ -151,23 +156,16 @@ def _package(plan: ExperimentPlan, theta: np.ndarray, device: int, round_t: int)
         return modelshare.reconstruct(pkg.U, sigma_dec, pkg.Vt, pkg.m1, pkg.m2)
     if plan.qkd_only:
         payload = modelshare.serialize_sigma(theta)
-        keys = qkd.bb84_exchange(8 * len(payload), qkd_rng, check_fraction=0.0)
+        keys = qkd.bb84_exchange(8 * len(payload), qkd_rng)
         blob = qkd.otp_encrypt(payload, keys.sender_key)
         return modelshare.deserialize_sigma(qkd.otp_decrypt(blob, keys.receiver_key))
     return theta
-
-
-def _score(dataset: Dataset, theta: np.ndarray, config: vqc.VqcConfig) -> tuple[float, float]:
-    acc = vqc.accuracy(dataset.features, dataset.labels, theta, config)
-    loss = vqc.cross_entropy_loss(dataset.features, dataset.labels, theta, config)
-    return acc, loss
 
 
 def run_round(state: FedState, plan: ExperimentPlan, round_t: int) -> tuple[FedState, RoundRecord]:
     if round_t >= plan.rounds:
         raise ValueError("round index past plan.rounds")
     start = time.perf_counter()
-    config = plan.vqc_config
     avg_initial = plan.pruning.avg_initial if plan.pruning is not None else False
 
     new_thetas: list[np.ndarray] = []
@@ -181,12 +179,11 @@ def run_round(state: FedState, plan: ExperimentPlan, round_t: int) -> tuple[FedS
         theta = state.device_thetas[k]
         if round_t > 0 and state.theta_bar is not None:
             theta = modelshare.apply_global(theta, state.theta_bar, avg_initial)
-        theta = _train(plan, theta, state.devices[k].train, k, round_t)
+        train_objective, test_objective = state.device_objectives[k]
+        theta = _train(plan, theta, train_objective, k, round_t)
         new_thetas.append(theta)
-        train_accs.append(vqc.accuracy(state.devices[k].train.features,
-                                       state.devices[k].train.labels, theta, config))
-        test_accs.append(vqc.accuracy(state.devices[k].test.features,
-                                      state.devices[k].test.labels, theta, config))
+        train_accs.append(train_objective.score(theta)[0])
+        test_accs.append(test_objective.score(theta)[0])
         try:
             updates.append(_package(plan, theta, k, round_t))
         except qkd.KeyCompromisedError as exc:
@@ -199,13 +196,14 @@ def run_round(state: FedState, plan: ExperimentPlan, round_t: int) -> tuple[FedS
         errors.append("all device updates dropped; keeping previous global model")
         theta_bar = state.theta_bar if state.theta_bar is not None else new_thetas[0]
 
-    pred_val_acc, pred_val_loss = _score(state.server_val, theta_bar, config)
-    pred_test_acc, pred_test_loss = _score(state.server_test, theta_bar, config)
+    val_objective, test_objective = state.server_objectives
+    pred_val_acc, pred_val_loss = val_objective.score(theta_bar)
+    pred_test_acc, pred_test_loss = test_objective.score(theta_bar)
     server_score = pred_test_acc  # un-adapted averaged model on the server test set
 
-    theta_gplus = _finetune(plan, theta_bar.copy(), state.server_val, round_t)
-    gplus_val_acc, gplus_val_loss = _score(state.server_val, theta_gplus, config)
-    gplus_test_acc, gplus_test_loss = _score(state.server_test, theta_gplus, config)
+    theta_gplus = _finetune(plan, theta_bar.copy(), val_objective, round_t)
+    gplus_val_acc, gplus_val_loss = val_objective.score(theta_gplus)
+    gplus_test_acc, gplus_test_loss = test_objective.score(theta_gplus)
 
     record = RoundRecord(
         round_index=round_t,
@@ -224,8 +222,7 @@ def run_round(state: FedState, plan: ExperimentPlan, round_t: int) -> tuple[FedS
         dropped_devices=dropped,
         errors=errors,
     )
-    return FedState(new_thetas, theta_bar, state.devices, state.server_val,
-                    state.server_test), record
+    return replace(state, device_thetas=new_thetas, theta_bar=theta_bar), record
 
 
 def _metric_summary(values: list[float]) -> dict:

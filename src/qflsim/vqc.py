@@ -1,14 +1,17 @@
-"""Variational quantum classifier built on the statevector simulator.
+"""Variational quantum classifier.
 
 The circuit is the standard Z feature map (H layer then phase rotations
 P(2*x_i)) followed by a RealAmplitudes-style ansatz (RY layers interleaved
 with CX entanglement blocks). Basis-state index mod class_count maps
-measurement outcomes to classes.
+measurement outcomes to classes. Runs use the compiled kernel below;
+`build_feature_map` and `build_ansatz` are the gate-level `qsim` reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,15 +77,6 @@ def build_ansatz(
     return qsim.Circuit(qubit_count, tuple(gates))
 
 
-def run_circuit(x: np.ndarray, theta: np.ndarray, config: VqcConfig) -> qsim.StateVector:
-    state = qsim.zero_state(config.qubit_count)
-    state = qsim.apply_circuit(state, build_feature_map(x, config.qubit_count, config.feature_map_reps))
-    state = qsim.apply_circuit(
-        state, build_ansatz(theta, config.qubit_count, config.ansatz_reps, config.entanglement)
-    )
-    return state
-
-
 def _aggregate_mod_classes(probs: np.ndarray, class_count: int) -> np.ndarray:
     dim = probs.shape[-1]
     out = np.zeros(probs.shape[:-1] + (class_count,))
@@ -91,18 +85,33 @@ def _aggregate_mod_classes(probs: np.ndarray, class_count: int) -> np.ndarray:
     return out
 
 
-def class_probabilities(x: np.ndarray, theta: np.ndarray, config: VqcConfig) -> np.ndarray:
-    probs = qsim.probabilities(run_circuit(x, theta, config))
-    return _aggregate_mod_classes(probs, config.class_count)
+# Compiled forward kernel: each CX block is one cached basis permutation and
+# each single-qubit gate a 2x2 update on a reshaped view, with the same
+# arithmetic as qsim, so both give bit-identical amplitudes.
 
 
-# Batched evaluation path: the feature-map states for a dataset are
-# independent of theta, so they are computed once and the ansatz is applied
-# to the whole (n_samples, 2**q) block per objective evaluation. Results
-# match the per-sample circuit route exactly (same gate matrices).
+@lru_cache(maxsize=None)
+def _cx_block_permutation(qubit_count: int, entanglement: str) -> np.ndarray:
+    """Index array `perm` such that amps[..., perm] applies one whole CX block."""
+    idx = np.arange(2**qubit_count)
+    perm = idx
+    for c, t in _entangler_pairs(qubit_count, entanglement):
+        perm = perm[np.where((idx >> c) & 1 == 1, idx ^ (1 << t), idx)]
+    return perm
+
+
+def _apply_single_qubit(amps: np.ndarray, qubit: int, m00, m01, m10, m11) -> np.ndarray:
+    rows, dim = amps.shape
+    view = amps.reshape(rows, dim >> (qubit + 1), 2, 1 << qubit)
+    a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
+    out = np.empty_like(view)
+    out[:, :, 0, :] = m00 * a0 + m01 * a1
+    out[:, :, 1, :] = m10 * a0 + m11 * a1
+    return out.reshape(rows, dim)
 
 
 def encode_features(X: np.ndarray, config: VqcConfig) -> np.ndarray:
+    """Feature-map states of the rows of X, shape (n, 2**q)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     q = config.qubit_count
     if X.shape[1] != q:
@@ -111,18 +120,27 @@ def encode_features(X: np.ndarray, config: VqcConfig) -> np.ndarray:
     amps = np.zeros((X.shape[0], dim), dtype=complex)
     amps[:, 0] = 1.0
     bits = (np.arange(dim)[None, :] >> np.arange(q)[:, None]) & 1  # (q, dim)
+    r = 1.0 / math.sqrt(2.0)
     for _ in range(config.feature_map_reps):
         for qubit in range(q):
-            amps = qsim.apply_gate_batch(amps, qsim.h(qubit))
+            amps = _apply_single_qubit(amps, qubit, r, r, r, -r)
         phase = X @ bits  # (n, dim): sum_i x_i * bit_i(j)
         amps = amps * np.exp(2j * phase)
     return amps
 
 
 def apply_ansatz_batch(amps: np.ndarray, theta: np.ndarray, config: VqcConfig) -> np.ndarray:
-    circuit = build_ansatz(theta, config.qubit_count, config.ansatz_reps, config.entanglement)
-    for gate in circuit.gates:
-        amps = qsim.apply_gate_batch(amps, gate)
+    """The ansatz at one theta point on a (n, 2**q) block of states."""
+    q = config.qubit_count
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (config.parameter_count,):
+        raise ValueError(f"expected {config.parameter_count} parameters, got shape {theta.shape}")
+    perm = _cx_block_permutation(q, config.entanglement)
+    for i, angle in enumerate(theta):
+        if i and i % q == 0:
+            amps = amps[:, perm]
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        amps = _apply_single_qubit(amps, i % q, c, -s, s, c)
     return amps
 
 
@@ -134,12 +152,13 @@ def class_probabilities_batch(
     return _aggregate_mod_classes(np.abs(amps) ** 2, config.class_count)
 
 
-class DatasetObjective:
-    """Mean cross-entropy of the VQC on a fixed dataset, as a function of theta.
+def _mean_cross_entropy(p_correct: np.ndarray) -> float:
+    return float(np.mean(-np.log(np.maximum(p_correct, LOSS_CLAMP))))
 
-    Supports `evaluate_many` so optimizers can batch the 2n+1 parameter-shift
-    evaluations through the vectorized simulator path.
-    """
+
+class DatasetObjective:
+    """Mean cross-entropy of the VQC on a fixed dataset, encoded once, as a function
+    of theta; `evaluate_many` keeps one theta point's (n, 2**q) state live at a time."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, config: VqcConfig):
         features = np.atleast_2d(np.asarray(features, dtype=float))
@@ -148,22 +167,25 @@ class DatasetObjective:
             raise ValueError("empty dataset")
         if labels.min() < 0 or labels.max() >= config.class_count:
             raise ValueError("labels out of range")
-        self.features = features
         self.labels = labels
         self.config = config
         self._encoded = encode_features(features, config)
 
-    def __call__(self, theta: np.ndarray) -> float:
+    def _p_correct(self, theta: np.ndarray) -> np.ndarray:
         probs = class_probabilities_batch(self._encoded, theta, self.config)
-        p_y = probs[np.arange(len(self.labels)), self.labels]
-        return float(np.mean(-np.log(np.maximum(p_y, LOSS_CLAMP))))
+        return probs[np.arange(len(self.labels)), self.labels]
+
+    def __call__(self, theta: np.ndarray) -> float:
+        return _mean_cross_entropy(self._p_correct(theta))
 
     def evaluate_many(self, thetas: np.ndarray) -> np.ndarray:
         return np.array([self(t) for t in thetas])
 
-    def _p_correct(self, theta: np.ndarray) -> np.ndarray:
+    def score(self, theta: np.ndarray) -> tuple[float, float]:
+        """(accuracy, mean cross-entropy); argmax ties go to the lowest class."""
         probs = class_probabilities_batch(self._encoded, theta, self.config)
-        return probs[np.arange(len(self.labels)), self.labels]
+        accuracy = float(np.mean(np.argmax(probs, axis=1) == self.labels))
+        return accuracy, _mean_cross_entropy(probs[np.arange(len(self.labels)), self.labels])
 
     def gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Exact analytic loss gradient.
@@ -176,33 +198,9 @@ class DatasetObjective:
         n = theta.size
         shifts = (np.pi / 2.0) * np.eye(n)
         p0 = np.maximum(self._p_correct(theta), LOSS_CLAMP)
-        value = float(np.mean(-np.log(p0)))
+        value = _mean_cross_entropy(p0)
         grad = np.empty(n)
         for i in range(n):
             dp = (self._p_correct(theta + shifts[i]) - self._p_correct(theta - shifts[i])) / 2.0
             grad[i] = float(np.mean(-dp / p0))
         return value, grad
-
-
-def cross_entropy_loss(
-    features: np.ndarray, labels: np.ndarray, theta: np.ndarray, config: VqcConfig
-) -> float:
-    return DatasetObjective(features, labels, config)(theta)
-
-
-def predict(x: np.ndarray, theta: np.ndarray, config: VqcConfig) -> int:
-    # argmax breaks ties toward the smallest class index
-    return int(np.argmax(class_probabilities(x, theta, config)))
-
-
-def predict_batch(X: np.ndarray, theta: np.ndarray, config: VqcConfig) -> np.ndarray:
-    probs = class_probabilities_batch(encode_features(X, config), theta, config)
-    return np.argmax(probs, axis=1)
-
-
-def accuracy(features: np.ndarray, labels: np.ndarray, theta: np.ndarray, config: VqcConfig) -> float:
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    if features.shape[0] == 0:
-        raise ValueError("empty dataset")
-    preds = predict_batch(features, theta, config)
-    return float(np.mean(preds == np.asarray(labels, dtype=int)))

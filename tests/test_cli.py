@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qflsim import cli, data
+from qflsim import cli, data, fed
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "assets" / "summary.schema.json").read_text()
@@ -93,51 +93,61 @@ def test_run_missing_dataset_file_exits_1(tmp_path):
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
 
 
+def _interrupted_run(cfg, out, rows_written: int, rounds_done: int) -> None:
+    """Leave `out` as a run that crashed: `rows_written` rows of rounds.csv and
+    a checkpoint saved after `rounds_done` rounds."""
+    config = cli._load_config(str(cfg), cli.RUN_DEFAULTS)
+    rng = np.random.default_rng(config["seed"])
+    ds = cli._prepare_features(config, cli._build_dataset(config, rng), rng)
+    plan = cli._build_plan(config, ds)
+    state = fed.init_state(plan, ds)
+    for t in range(rounds_done):
+        state, _ = fed.run_round(state, plan, t)
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    lines = (out / "rounds.csv").read_text().splitlines()
+    (out / "rounds.csv").write_text("\n".join(lines[: 1 + rows_written]) + "\n")
+    (out / "checkpoint.json").write_text(json.dumps({
+        "next_round": rounds_done,
+        "theta_bar": state.theta_bar.tolist(),
+        "device_thetas": [t.tolist() for t in state.device_thetas],
+    }))
+
+
+def _assert_same_run(a, b):
+    strip = lambda text: [",".join(l.split(",")[:-1]) for l in text.splitlines()]
+    assert strip((a / "rounds.csv").read_text()) == strip((b / "rounds.csv").read_text())
+    summary_a = json.loads((a / "summary.json").read_text())
+    summary_b = json.loads((b / "summary.json").read_text())
+    for key, value in summary_a.items():
+        if key == "wall_clock_seconds":
+            continue
+        assert summary_b[key] == value
+
+
 def test_run_resumes_from_checkpoint(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", rounds=3)
     full = tmp_path / "full"
     assert cli.main(["run", str(cfg), "--out", str(full)]) == cli.EXIT_OK
 
-    # simulate a crash after round 2: replay a run, keep only the first two
-    # rows and the matching checkpoint, then rerun the same command
+    # simulate a crash after round 2: rows and checkpoint for rounds 0-1,
+    # then rerun the same command
     partial = tmp_path / "partial"
-    saved = {}
-
-    def snoop(state, record):
-        if record.round_index == 1:
-            saved["ckpt"] = (partial / "checkpoint.json").read_text()
-
-    # produce a genuine mid-run checkpoint by running, then truncating
+    _interrupted_run(cfg, partial, rows_written=2, rounds_done=2)
     assert cli.main(["run", str(cfg), "--out", str(partial)]) == cli.EXIT_OK
-    lines = (full / "rounds.csv").read_text().splitlines()
-    # rebuild partial state: header + rounds 0-1, checkpoint pointing at round 2
-    cfg_run = cli._load_config(str(tmp_path / "cfg.json"), cli.RUN_DEFAULTS)
-    cfg_run["output_dir"] = str(partial)
-    rng = np.random.default_rng(cfg_run["seed"])
-    ds = cli._prepare_features(cfg_run, cli._build_dataset(cfg_run, rng), rng)
-    plan = cli._build_plan(cfg_run, ds)
-    from qflsim import fed
+    _assert_same_run(full, partial)
 
-    state = fed.init_state(plan, ds)
-    for t in range(2):
-        state, _ = fed.run_round(state, plan, t)
-    (partial / "rounds.csv").write_text("\n".join(lines[:3]) + "\n")
-    (partial / "checkpoint.json").write_text(json.dumps({
-        "next_round": 2,
-        "theta_bar": state.theta_bar.tolist(),
-        "device_thetas": [t.tolist() for t in state.device_thetas],
-    }))
+
+def test_resume_after_crash_between_row_and_checkpoint(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", rounds=3)
+    full = tmp_path / "full"
+    assert cli.main(["run", str(cfg), "--out", str(full)]) == cli.EXIT_OK
+
+    # round 1's row was appended, but the checkpoint still points at round 1
+    partial = tmp_path / "partial"
+    _interrupted_run(cfg, partial, rows_written=2, rounds_done=1)
     assert cli.main(["run", str(cfg), "--out", str(partial)]) == cli.EXIT_OK
-
-    strip = lambda text: [",".join(l.split(",")[:-1]) for l in text.splitlines()]
-    assert strip((partial / "rounds.csv").read_text()) == strip(
-        (full / "rounds.csv").read_text())
-    full_summary = json.loads((full / "summary.json").read_text())
-    partial_summary = json.loads((partial / "summary.json").read_text())
-    for key, value in full_summary.items():
-        if key == "wall_clock_seconds":
-            continue
-        assert partial_summary[key] == value
+    _assert_same_run(full, partial)
+    assert not list(partial.glob("checkpoint*"))
 
 
 def test_gen_genomic_writes_requested_count(tmp_path):

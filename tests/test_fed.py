@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,35 @@ def test_qkd_abort_drops_device(iris_angles, monkeypatch):
     assert any("device 0" in e for e in record.errors)
     # the average uses only the surviving device
     np.testing.assert_array_equal(new_state.theta_bar, new_state.device_thetas[1])
+
+
+def test_eavesdropped_exchange_drops_device(iris_angles, monkeypatch):
+    # the real BB84 exchange, with an intercept-resend eavesdropper on every key
+    plan = make_plan(qkd_only=True)
+    state = fed.init_state(plan, iris_angles)
+    real_exchange = qkd.bb84_exchange
+
+    def tapped(required_bits, rng, **kwargs):
+        return real_exchange(required_bits, rng, eavesdrop=True, **kwargs)
+
+    monkeypatch.setattr(fed.qkd, "bb84_exchange", tapped)
+    _, record = fed.run_round(state, plan, 0)
+    assert record.dropped_devices == [0, 1]
+    assert all(re.search(r"device \d: QBER \S+ exceeds", e) for e in record.errors[:2])
+
+
+def test_each_dataset_is_encoded_once(iris_angles, monkeypatch):
+    plan = make_plan(rounds=2)
+    real_encode = vqc.encode_features
+    calls = {"n": 0}
+
+    def counting(X, config):
+        calls["n"] += 1
+        return real_encode(X, config)
+
+    monkeypatch.setattr(vqc, "encode_features", counting)
+    fed.run_experiment(plan, iris_angles)
+    assert calls["n"] == 2 * plan.device_count + 2
 
 
 def test_all_devices_dropped_keeps_previous_global(iris_angles, monkeypatch):

@@ -1,9 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflsim import qsim, vqc
 
 CFG4 = vqc.VqcConfig(feature_count=4, class_count=3)
+
+
+def oracle_state(x: np.ndarray, theta: np.ndarray, cfg: vqc.VqcConfig) -> np.ndarray:
+    """Amplitudes from the gate-level circuits on the qsim reference simulator."""
+    state = qsim.apply_circuit(qsim.zero_state(cfg.qubit_count),
+                               vqc.build_feature_map(x, cfg.qubit_count, cfg.feature_map_reps))
+    ansatz = vqc.build_ansatz(theta, cfg.qubit_count, cfg.ansatz_reps, cfg.entanglement)
+    return qsim.apply_circuit(state, ansatz).amplitudes
+
+
+def oracle_class_probabilities(X: np.ndarray, theta: np.ndarray,
+                               cfg: vqc.VqcConfig) -> np.ndarray:
+    probs = np.abs([oracle_state(x, theta, cfg) for x in X]) ** 2
+    return np.stack([probs[:, c::cfg.class_count].sum(axis=1)
+                     for c in range(cfg.class_count)], axis=1)
+
+
+def kernel_class_probabilities(X: np.ndarray, theta: np.ndarray,
+                               cfg: vqc.VqcConfig) -> np.ndarray:
+    return vqc.class_probabilities_batch(vqc.encode_features(X, cfg), theta, cfg)
 
 
 def test_parameter_count():
@@ -44,20 +66,24 @@ def test_ansatz_consumes_sixteen_parameters():
     assert sum(g.kind == "RY" for g in circuit.gates) == 16
     with pytest.raises(ValueError):
         vqc.build_ansatz(theta[:-1], 4, reps=3)
+    with pytest.raises(ValueError):
+        vqc.apply_ansatz_batch(vqc.encode_features(np.zeros((1, 4)), CFG4), theta[:-1], CFG4)
 
 
 def test_zero_ansatz_on_uniform_state_is_identity():
     # RY(0) = I and CX permutes the uniform superposition onto itself
-    x = np.zeros(4)
-    fm_state = qsim.apply_circuit(qsim.zero_state(4), vqc.build_feature_map(x, 4))
-    full = vqc.run_circuit(x, np.zeros(16), CFG4)
-    np.testing.assert_allclose(full.amplitudes, fm_state.amplitudes, atol=1e-12)
+    encoded = vqc.encode_features(np.zeros((1, 4)), CFG4)
+    np.testing.assert_allclose(encoded[0], np.full(16, 0.25), atol=1e-12)
+    np.testing.assert_allclose(vqc.apply_ansatz_batch(encoded, np.zeros(16), CFG4), encoded,
+                               atol=1e-12)
+    np.testing.assert_allclose(oracle_state(np.zeros(4), np.zeros(16), CFG4), encoded[0],
+                               atol=1e-12)
 
 
 def test_class_probabilities_uniform_binary():
     cfg = vqc.VqcConfig(2, 2, ansatz_reps=0)
-    probs = vqc.class_probabilities(np.zeros(2), np.zeros(2), cfg)
-    np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
+    probs = kernel_class_probabilities(np.zeros((1, 2)), np.zeros(2), cfg)
+    np.testing.assert_allclose(probs, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_class_probabilities_one_hot_basis_state():
@@ -75,18 +101,36 @@ def test_class_probabilities_three_classes_uniform():
 
 
 def test_class_probabilities_sum_to_one(rng):
-    for _ in range(200):
-        x = rng.uniform(0, 2 * np.pi, 4)
+    for _ in range(20):
+        X = rng.uniform(0, 2 * np.pi, (10, 4))
         theta = rng.uniform(-np.pi, np.pi, 16)
-        assert abs(vqc.class_probabilities(x, theta, CFG4).sum() - 1.0) < 1e-10
+        sums = kernel_class_probabilities(X, theta, CFG4).sum(axis=1)
+        assert np.max(np.abs(sums - 1.0)) < 1e-10
 
 
 def test_batch_path_matches_circuit_path(rng):
     X = rng.uniform(0, 2 * np.pi, (8, 4))
     theta = rng.uniform(-np.pi, np.pi, 16)
-    per_sample = np.array([vqc.class_probabilities(x, theta, CFG4) for x in X])
-    batched = vqc.class_probabilities_batch(vqc.encode_features(X, CFG4), theta, CFG4)
-    np.testing.assert_allclose(batched, per_sample, atol=1e-12)
+    np.testing.assert_allclose(kernel_class_probabilities(X, theta, CFG4),
+                               oracle_class_probabilities(X, theta, CFG4), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qubits=st.integers(1, 8), entanglement=st.sampled_from(["full", "linear"]),
+       ansatz_reps=st.integers(0, 3), feature_map_reps=st.integers(1, 2),
+       class_count=st.integers(2, 4), rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_qsim_oracle(qubits, entanglement, ansatz_reps, feature_map_reps,
+                                    class_count, rows, seed):
+    cfg = vqc.VqcConfig(qubits, class_count, feature_map_reps, ansatz_reps, entanglement)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 2 * np.pi, (rows, qubits))
+    theta = rng.uniform(-np.pi, np.pi, cfg.parameter_count)
+    encoded = vqc.encode_features(X, cfg)
+    amps = vqc.apply_ansatz_batch(encoded, theta, cfg)
+    oracle = np.array([oracle_state(x, theta, cfg) for x in X])
+    assert np.max(np.abs(amps - oracle)) < 1e-12
+    probs = vqc.class_probabilities_batch(encoded, theta, cfg)
+    assert np.max(np.abs(probs - oracle_class_probabilities(X, theta, cfg))) < 1e-12
 
 
 def test_cross_entropy_examples(rng):
@@ -94,23 +138,26 @@ def test_cross_entropy_examples(rng):
     cfg = vqc.VqcConfig(1, 2, ansatz_reps=0)
     # RY(-pi/2) rotates H|0> back to |0>: class 0 prob 1 -> loss 0
     theta = np.array([-np.pi / 2])
-    assert vqc.cross_entropy_loss([[0.0]], [0], theta, cfg) == pytest.approx(0.0, abs=1e-12)
+    assert vqc.DatasetObjective([[0.0]], [0], cfg)(theta) == pytest.approx(0.0, abs=1e-12)
     # label 1 has probability ~0 -> clamp active
-    loss = vqc.cross_entropy_loss([[0.0]], [1], theta, cfg)
-    assert loss == pytest.approx(-np.log(1e-12))
+    clamped = vqc.DatasetObjective([[0.0]], [1], cfg)
+    assert clamped(theta) == pytest.approx(-np.log(1e-12))
+    assert clamped.score(theta) == (0.0, clamped(theta))
     # p_y = 0.5 for all samples -> ln 2
     cfg2 = vqc.VqcConfig(2, 2, ansatz_reps=0)
-    loss = vqc.cross_entropy_loss(np.zeros((4, 2)), [0, 1, 0, 1], np.zeros(2), cfg2)
-    assert loss == pytest.approx(np.log(2.0), abs=1e-12)
+    obj = vqc.DatasetObjective(np.zeros((4, 2)), [0, 1, 0, 1], cfg2)
+    assert obj(np.zeros(2)) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_loss_invariant_under_sample_order(rng):
     X = rng.uniform(0, 2 * np.pi, (12, 4))
     y = rng.integers(0, 3, 12)
     theta = rng.uniform(-np.pi, np.pi, 16)
-    base = vqc.cross_entropy_loss(X, y, theta, CFG4)
+    base_acc, base_loss = vqc.DatasetObjective(X, y, CFG4).score(theta)
     perm = rng.permutation(12)
-    assert vqc.cross_entropy_loss(X[perm], y[perm], theta, CFG4) == pytest.approx(base, abs=1e-12)
+    acc, loss = vqc.DatasetObjective(X[perm], y[perm], CFG4).score(theta)
+    assert acc == base_acc
+    assert loss == pytest.approx(base_loss, abs=1e-12)
 
 
 def test_empty_dataset_rejected():
@@ -120,17 +167,20 @@ def test_empty_dataset_rejected():
 
 def test_predict_tie_breaks_to_lowest_class():
     cfg = vqc.VqcConfig(2, 2, ansatz_reps=0)
-    # uniform state -> exact (0.5, 0.5) tie
-    assert vqc.predict(np.zeros(2), np.zeros(2), cfg) == 0
+    # uniform state -> exact (0.5, 0.5) tie, scored as a prediction of class 0
+    assert vqc.DatasetObjective(np.zeros((1, 2)), [0], cfg).score(np.zeros(2))[0] == 1.0
+    assert vqc.DatasetObjective(np.zeros((1, 2)), [1], cfg).score(np.zeros(2))[0] == 0.0
 
 
 def test_accuracy_fraction(rng):
     X = rng.uniform(0, 2 * np.pi, (4, 4))
     theta = rng.uniform(-np.pi, np.pi, 16)
-    preds = vqc.predict_batch(X, theta, CFG4)
-    labels = preds.copy()
+    labels = np.argmax(oracle_class_probabilities(X, theta, CFG4), axis=1)
     labels[0] = (labels[0] + 1) % 3  # force 3 of 4 correct
-    assert vqc.accuracy(X, labels, theta, CFG4) == pytest.approx(0.75)
+    obj = vqc.DatasetObjective(X, labels, CFG4)
+    acc, loss = obj.score(theta)
+    assert acc == pytest.approx(0.75)
+    assert loss == obj(theta)
 
 
 def test_exact_gradient_matches_finite_differences(rng):
