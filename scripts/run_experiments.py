@@ -4,9 +4,9 @@
 Usage:
     python scripts/run_experiments.py [--results DIR] [--seed SEED] [--only NAME ...]
 
-Each config in scripts/configs/ produces results/<name>/{rounds.csv,
-summary.json, config.echo.json}. The genomic corpus is generated first if the
-DP-PCA config is selected.
+Each config in scripts/configs/ produces <results>/<name>/{rounds.csv,
+summary.json, config.echo.json}. A genomic config whose `dataset_path` does not
+exist gets a 400-sequence corpus (seed 7) generated at that path first.
 """
 
 import argparse
@@ -40,12 +40,13 @@ def main() -> int:
     rows = []
     for cfg_path in configs:
         name = cfg_path.stem
-        if name == "genomic_dp_pca":
-            corpus = results / "genomic_corpus.txt"
-            if not corpus.exists():
-                rc = cli.main(["gen-genomic", "400", str(corpus), "--seed", "7"])
-                if rc != 0:
-                    return rc
+        config = json.loads(cfg_path.read_text())
+        if config["dataset"] == "genomic" and not Path(config["dataset_path"]).exists():
+            corpus = Path(config["dataset_path"])
+            corpus.parent.mkdir(parents=True, exist_ok=True)
+            rc = cli.main(["gen-genomic", "400", str(corpus), "--seed", "7"])
+            if rc != 0:
+                return rc
         out_dir = results / name
         argv = ["run", str(cfg_path), "--out", str(out_dir)]
         if args.seed is not None:

@@ -4,6 +4,7 @@ condensation, experiment execution and CSV/JSON persistence."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -74,13 +75,13 @@ CONDENSE_DEFAULTS = {
     "output_dir": None,
 }
 
-_NESTED_KEYS = {
-    "dp_optimizer": {"epsilon", "delta", "sensitivity"},
-    "param_noise": {"kind", "epsilon", "sensitivity", "delta"},
-    "dp_pca": {"n_components", "epsilon", "delta", "bounds", "data_norm"},
-    "pruning": {"tau", "avg_initial"},
-    "condensation": {"images_per_class", "steps", "learning_rate", "batch_size",
-                     "embedding_dim", "seed"},
+# Each nested config object is the keyword arguments of its spec dataclass.
+_SECTIONS = {
+    "dp_optimizer": DpSettings,
+    "param_noise": NoiseMechanism,
+    "dp_pca": DpPcaSpec,
+    "pruning": PruneSpec,
+    "condensation": CondenseSpec,
 }
 
 
@@ -97,13 +98,16 @@ def _load_config(path, defaults: dict) -> dict:
         raise ConfigError(sorted(unknown)[0], "unknown key")
     config = dict(defaults)
     config.update(raw)
-    for key, allowed in _NESTED_KEYS.items():
+    for key, default in defaults.items():
+        if type(default) in (int, float) and not isinstance(config[key], (int, float)):
+            raise ConfigError(key, "must be a number")
+    for key, cls in _SECTIONS.items():
         value = config.get(key)
         if value is None:
             continue
         if not isinstance(value, dict):
             raise ConfigError(key, "must be an object or null")
-        bad = set(value) - allowed
+        bad = set(value) - {f.name for f in dataclasses.fields(cls)}
         if bad:
             raise ConfigError(f"{key}.{sorted(bad)[0]}", "unknown key")
     return config
@@ -115,142 +119,110 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _positive(config_section: dict, field: str, prefix: str = ""):
-    value = config_section.get(field)
-    if value is None or value <= 0:
-        raise ConfigError(f"{prefix}{field}", "must be a positive number")
-    return value
+def _section(config: dict, key: str, **defaults):
+    """The spec built from nested object `key`, or None when it is null.
+
+    `defaults` are the call-site values for fields the spec leaves unset or
+    sets differently; the spec itself checks every value."""
+    section = config.get(key)
+    if section is None:
+        return None
+    try:
+        return _SECTIONS[key](**{**defaults, **section})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc))
 
 
-def _build_dataset(config: dict, rng: np.random.Generator) -> Dataset:
+def _build_dataset(config: dict) -> Dataset:
     kind = _require(config, "dataset")
     if kind == "iris":
-        ds = data.load_iris(config["dataset_path"])
-    elif kind == "genomic":
-        path = _require(config, "dataset_path")
-        dp_cfg = config.get("dp_pca")
-        spec = _dp_pca_spec(dp_cfg, config.get("features", 4)) if dp_cfg else None
-        return data.encode_genomic(path, config.get("features", 4), spec, rng)
-    elif kind == "mnist":
-        ds = data.load_mnist_idx(
+        return data.load_iris(config["dataset_path"])
+    if kind == "genomic":
+        return data.encode_genomic(_require(config, "dataset_path"))
+    if kind == "mnist":
+        return data.load_mnist_idx(
             _require(config, "dataset_path"), _require(config, "labels_path"),
             config["keep_digits"],
         )
-    elif kind == "csv":
-        ds = data.load_csv(_require(config, "dataset_path"))
-    else:
-        raise ConfigError("dataset", f"unknown dataset kind {kind!r}")
-    return ds
-
-
-def _dp_pca_spec(cfg: dict, default_k: int) -> DpPcaSpec:
-    _positive(cfg, "epsilon", "dp_pca.")
-    try:
-        return DpPcaSpec(
-            n_components=cfg.get("n_components", default_k),
-            epsilon=cfg["epsilon"],
-            delta=cfg.get("delta", 1e-5),
-            bounds=tuple(cfg.get("bounds", (0.0, 1.0))),
-            data_norm=cfg.get("data_norm", 1.0),
-        )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError("dp_pca", str(exc))
+    if kind == "csv":
+        return data.load_csv(_require(config, "dataset_path"))
+    raise ConfigError("dataset", f"unknown dataset kind {kind!r}")
 
 
 def _prepare_features(config: dict, ds: Dataset, rng: np.random.Generator) -> Dataset:
-    target = config.get("features", 4)
-    if config["dataset"] != "genomic":
-        if config.get("dp_pca"):
-            spec = _dp_pca_spec(config["dp_pca"], target)
-            reduced, _ = dp_pca_fit_transform(ds.features, ds.labels, spec, rng)
-            ds = Dataset(reduced, ds.labels, ds.class_count, ds.name)
-        elif ds.features.shape[1] > target:
-            reduced, _ = data.plain_pca(ds.features, target)
-            ds = Dataset(reduced, ds.labels, ds.class_count, ds.name)
-        ds = data.scale_to_angles(ds)
-    return ds
+    """Reduce every dataset kind to `features` columns by DP-PCA (when
+    `dp_pca` is set) or plain PCA (when wider), then scale to angles."""
+    target = config["features"]
+    spec = _section(config, "dp_pca", n_components=target, delta=1e-5)
+    if spec is not None:
+        reduced, _ = dp_pca_fit_transform(ds.features, ds.labels, spec, rng)
+        ds = Dataset(reduced, ds.labels, ds.class_count, ds.name)
+    elif ds.features.shape[1] > target:
+        reduced, _ = data.plain_pca(ds.features, target)
+        ds = Dataset(reduced, ds.labels, ds.class_count, ds.name)
+    return data.scale_to_angles(ds)
 
 
 def _build_plan(config: dict, ds: Dataset) -> fed.ExperimentPlan:
-    devices = config["devices"]
-    n = len(ds)
-    spd = config["samples_per_device"]
-    if spd is None:
-        spd = (n - config["server_val_size"] - config["server_test_size"]) // devices
-    split = SplitPlan(devices, spd, config["server_val_size"],
-                      config["server_test_size"], config["seed"])
-    vqc_config = vqc.VqcConfig(
-        feature_count=ds.features.shape[1],
-        class_count=ds.class_count,
-        feature_map_reps=config["feature_map_reps"],
-        ansatz_reps=config["ansatz_reps"],
-        entanglement=config["entanglement"],
-    )
+    dp_optimizer = _section(config, "dp_optimizer", delta=1e-5)
+    param_noise = _section(config, "param_noise", kind="gaussian", sensitivity=1.0,
+                           delta=1e-5)
+    pruning = _section(config, "pruning")
+    condensation = _section(config, "condensation", seed=config["seed"])
     try:
-        aqgd = AqgdSettings(
-            maxiter=config["maxiter"], eta=config["eta"], momentum=config["momentum"],
-            tol=config["tol"], param_tol=config["param_tol"], averaging=config["averaging"],
-        )
-        dp_opt = None
-        if config["dp_optimizer"] is not None:
-            cfg = config["dp_optimizer"]
-            _positive(cfg, "epsilon", "dp_optimizer.")
-            dp_opt = DpSettings(cfg["epsilon"], cfg.get("delta", 1e-5),
-                                cfg.get("sensitivity", 1.0))
-        noise = None
-        if config["param_noise"] is not None:
-            cfg = config["param_noise"]
-            _positive(cfg, "epsilon", "param_noise.")
-            noise = NoiseMechanism(cfg.get("kind", "gaussian"), cfg["epsilon"],
-                                   cfg.get("sensitivity", 1.0), cfg.get("delta", 1e-5))
-        pruning = None
-        if config["pruning"] is not None:
-            cfg = config["pruning"]
-            pruning = PruneSpec(cfg.get("tau", 0.5), cfg.get("avg_initial", False))
-        cond = None
-        if config["condensation"] is not None:
-            cond = _condense_spec(config["condensation"], config["seed"])
+        devices = config["devices"]
+        spd = config["samples_per_device"]
+        if spd is None:
+            spd = (len(ds) - config["server_val_size"] - config["server_test_size"]) // devices
         return fed.ExperimentPlan(
-            rounds=config["rounds"], device_count=devices, split=split,
-            vqc_config=vqc_config, optimizer=config["optimizer"], aqgd=aqgd,
-            spsa_maxiter=config["spsa_maxiter"], dp_optimizer=dp_opt,
-            param_noise=noise, pruning=pruning,
+            rounds=config["rounds"], device_count=devices,
+            split=SplitPlan(devices, spd, config["server_val_size"],
+                            config["server_test_size"], config["seed"]),
+            vqc_config=vqc.VqcConfig(
+                feature_count=ds.features.shape[1],
+                class_count=ds.class_count,
+                feature_map_reps=config["feature_map_reps"],
+                ansatz_reps=config["ansatz_reps"],
+                entanglement=config["entanglement"],
+            ),
+            optimizer=config["optimizer"],
+            aqgd=AqgdSettings(
+                maxiter=config["maxiter"], eta=config["eta"], momentum=config["momentum"],
+                tol=config["tol"], param_tol=config["param_tol"],
+                averaging=config["averaging"],
+            ),
+            spsa_maxiter=config["spsa_maxiter"], dp_optimizer=dp_optimizer,
+            param_noise=param_noise, pruning=pruning,
             svd_qkd=config["svd_qkd"], qkd_only=config["qkd_only"],
-            condensation=cond, seed=config["seed"],
+            condensation=condensation, seed=config["seed"],
         )
-    except ConfigError:
-        raise
-    except (ValueError, KeyError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError("<plan>", str(exc))
 
 
-def _condense_spec(cfg: dict, default_seed: int) -> CondenseSpec:
-    try:
-        return CondenseSpec(
-            images_per_class=cfg["images_per_class"],
-            steps=cfg.get("steps", 100),
-            learning_rate=cfg.get("learning_rate", 0.1),
-            batch_size=cfg.get("batch_size", 64),
-            embedding_dim=cfg.get("embedding_dim", 64),
-            seed=cfg.get("seed", default_seed),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"condensation.{exc.args[0]}", "is required")
-    except ValueError as exc:
-        raise ConfigError("condensation", str(exc))
+def _setup(config: dict) -> tuple[Dataset, fed.ExperimentPlan]:
+    """The federation's dataset and plan; DP-PCA is the first consumer of
+    the seed's generator."""
+    rng = np.random.default_rng(config["seed"])
+    ds = _prepare_features(config, _build_dataset(config), rng)
+    return ds, _build_plan(config, ds)
+
+
+# rounds.csv: round, per-device accuracies, their averages, these scores,
+# dropped devices and wall clock
+_SCORES = [
+    "pred_val_acc", "pred_val_loss", "pred_test_acc", "pred_test_loss",
+    "gplus_val_acc", "gplus_val_loss", "gplus_test_acc", "gplus_test_loss",
+    "server_score",
+]
 
 
 def _csv_columns(device_count: int) -> list[str]:
     cols = ["round"]
     for k in range(device_count):
         cols += [f"dev{k}_train_acc", f"dev{k}_test_acc"]
-    cols += [
-        "avg_train_acc", "avg_test_acc",
-        "pred_val_acc", "pred_val_loss", "pred_test_acc", "pred_test_loss",
-        "gplus_val_acc", "gplus_val_loss", "gplus_test_acc", "gplus_test_loss",
-        "server_score", "dropped_devices", "wall_clock_seconds",
-    ]
-    return cols
+    return cols + ["avg_train_acc", "avg_test_acc", *_SCORES,
+                   "dropped_devices", "wall_clock_seconds"]
 
 
 def _fmt(value: float) -> str:
@@ -261,40 +233,26 @@ def _record_row(record: fed.RoundRecord) -> list[str]:
     row = [str(record.round_index)]
     for tr, te in zip(record.device_train_acc, record.device_test_acc):
         row += [_fmt(tr), _fmt(te)]
-    row += [
-        _fmt(float(np.mean(record.device_train_acc))),
-        _fmt(float(np.mean(record.device_test_acc))),
-        _fmt(record.pred_val_acc), _fmt(record.pred_val_loss),
-        _fmt(record.pred_test_acc), _fmt(record.pred_test_loss),
-        _fmt(record.gplus_val_acc), _fmt(record.gplus_val_loss),
-        _fmt(record.gplus_test_acc), _fmt(record.gplus_test_loss),
-        _fmt(record.server_score),
-        ";".join(str(d) for d in record.dropped_devices),
-        _fmt(record.wall_clock_seconds),
-    ]
+    row += [_fmt(float(np.mean(record.device_train_acc))),
+            _fmt(float(np.mean(record.device_test_acc)))]
+    row += [_fmt(getattr(record, name)) for name in _SCORES]
+    row += [";".join(str(d) for d in record.dropped_devices),
+            _fmt(record.wall_clock_seconds)]
     return row
 
 
 def _parse_records(csv_path: Path, device_count: int) -> list[fed.RoundRecord]:
-    lines = csv_path.read_text().splitlines()
+    header, *rows = (line.split(",") for line in csv_path.read_text().splitlines())
     records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        pos = 1
-        train, test = [], []
-        for _ in range(device_count):
-            train.append(float(parts[pos]))
-            test.append(float(parts[pos + 1]))
-            pos += 2
-        pos += 2  # skip avg columns
-        vals = [float(v) for v in parts[pos : pos + 9]]
-        dropped = [int(d) for d in parts[pos + 9].split(";") if d]
+    for parts in rows:
+        row = dict(zip(header, parts))
         records.append(fed.RoundRecord(
-            round_index=int(parts[0]), device_train_acc=train, device_test_acc=test,
-            pred_val_acc=vals[0], pred_val_loss=vals[1], pred_test_acc=vals[2],
-            pred_test_loss=vals[3], gplus_val_acc=vals[4], gplus_val_loss=vals[5],
-            gplus_test_acc=vals[6], gplus_test_loss=vals[7], server_score=vals[8],
-            dropped_devices=dropped, wall_clock_seconds=float(parts[pos + 10]),
+            round_index=int(row["round"]),
+            device_train_acc=[float(row[f"dev{k}_train_acc"]) for k in range(device_count)],
+            device_test_acc=[float(row[f"dev{k}_test_acc"]) for k in range(device_count)],
+            **{name: float(row[name]) for name in _SCORES},
+            dropped_devices=[int(d) for d in row["dropped_devices"].split(";") if d],
+            wall_clock_seconds=float(row["wall_clock_seconds"]),
         ))
     return records
 
@@ -308,10 +266,7 @@ def cmd_run(config_path, out_override=None, seed_override=None) -> int:
             config["seed"] = seed_override
         _require(config, "name")
         out_dir = Path(_require(config, "output_dir"))
-        rng = np.random.default_rng(config["seed"])
-        ds = _build_dataset(config, rng)
-        ds = _prepare_features(config, ds, rng)
-        plan = _build_plan(config, ds)
+        ds, plan = _setup(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -371,11 +326,10 @@ def cmd_condense(config_path, out_override=None, seed_override=None) -> int:
             config["seed"] = seed_override
         _require(config, "name")
         out_dir = Path(_require(config, "output_dir"))
-        if config["condensation"] is None:
+        spec = _section(config, "condensation", seed=config["seed"])
+        if spec is None:
             raise ConfigError("condensation", "is required")
-        spec = _condense_spec(config["condensation"], config["seed"])
-        rng = np.random.default_rng(config["seed"])
-        ds = _build_dataset(config, rng)
+        ds = _build_dataset(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -396,11 +350,7 @@ def cmd_condense(config_path, out_override=None, seed_override=None) -> int:
         provenance = {
             "name": config["name"],
             "seed": config["seed"],
-            "spec": {
-                "images_per_class": spec.images_per_class, "steps": spec.steps,
-                "learning_rate": spec.learning_rate, "batch_size": spec.batch_size,
-                "embedding_dim": spec.embedding_dim, "seed": spec.seed,
-            },
+            "spec": dataclasses.asdict(spec),
             "original_rows": len(ds),
             "condensed_rows": len(condensed),
             "size_ratio": len(condensed) / len(ds),

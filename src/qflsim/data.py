@@ -157,26 +157,12 @@ def plain_pca(X: np.ndarray, k: int) -> tuple[np.ndarray, dp.PcaModel]:
     return centered @ components, model
 
 
-def encode_genomic(
-    path,
-    k_features: int = 4,
-    dp_spec: dp.DpPcaSpec | None = None,
-    rng: np.random.Generator | None = None,
-    seq_length: int | None = None,
-) -> Dataset:
-    """Ordinal-encode ACGT sequences, reduce with (DP-)PCA, scale to angles."""
+def encode_genomic(path, seq_length: int | None = None) -> Dataset:
+    """Ordinal-encode ACGT sequences, one column per position."""
     seqs, labels = _read_sequences(path)
     if not seqs:
         raise ValueError(f"{path}: empty file")
-    encoded = _ordinal_encode(seqs, seq_length)
-    if dp_spec is not None:
-        if rng is None:
-            raise ValueError("dp_spec requires an rng")
-        reduced, _ = dp.dp_pca_fit_transform(encoded, labels, dp_spec, rng)
-    else:
-        reduced, _ = plain_pca(encoded, k_features)
-    ds = Dataset(reduced, labels, 2, name="genomic")
-    return scale_to_angles(ds)
+    return Dataset(_ordinal_encode(seqs, seq_length), labels, 2, name="genomic")
 
 
 def generate_genomic(

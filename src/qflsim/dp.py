@@ -66,8 +66,12 @@ class DpPcaSpec:
             raise ValueError("delta must be in (0, 1)")
         if self.data_norm <= 0:
             raise ValueError("data_norm must be > 0")
-        if self.bounds[0] >= self.bounds[1]:
+        bounds = tuple(self.bounds)
+        if len(bounds) != 2:
+            raise ValueError("bounds must be a pair (low, high)")
+        if bounds[0] >= bounds[1]:
             raise ValueError("bounds must satisfy low < high")
+        object.__setattr__(self, "bounds", bounds)
 
 
 @dataclass(frozen=True)

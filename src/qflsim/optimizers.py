@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dp import gaussian_sigma
+
 
 @dataclass(frozen=True)
 class AqgdSettings:
@@ -42,7 +44,7 @@ class DpSettings:
 
     @property
     def noise_sigma(self) -> float:
-        return self.sensitivity * math.sqrt(2.0 * math.log(1.25 / self.delta)) / self.epsilon
+        return gaussian_sigma(self.epsilon, self.delta, self.sensitivity)
 
 
 @dataclass

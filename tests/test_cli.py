@@ -68,10 +68,26 @@ def test_run_unknown_key_exits_2(tmp_path, capsys):
     assert "epochs" in capsys.readouterr().err
 
 
-def test_run_unknown_nested_key_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", pruning={"threshold": 0.5})
+@pytest.mark.parametrize(
+    "section", ["dp_optimizer", "param_noise", "dp_pca", "pruning", "condensation"])
+def test_run_unknown_nested_key_exits_2(tmp_path, capsys, section):
+    cfg = write_config(tmp_path / "cfg.json", **{section: {"bogus": 1}})
     assert cli.main(["run", str(cfg)]) == cli.EXIT_CONFIG
-    assert "pruning.threshold" in capsys.readouterr().err
+    assert f"{section}.bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"rounds": "2"}, "rounds"),
+    ({"param_noise": {"kind": "laplace", "epsilon": "1"}}, "param_noise"),
+    ({"dp_pca": {"epsilon": 1.0, "bounds": [0]}}, "dp_pca"),
+    ({"dp_pca": {}}, "epsilon"),
+], ids=["rounds-string", "param_noise-epsilon-string", "dp_pca-one-bound", "dp_pca-empty"])
+def test_run_wrongly_typed_or_missing_value_exits_2(tmp_path, capsys, overrides, named):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert named in err
 
 
 def test_run_negative_epsilon_exits_2_naming_field(tmp_path, capsys):
@@ -96,10 +112,7 @@ def test_run_missing_dataset_file_exits_1(tmp_path):
 def _interrupted_run(cfg, out, rows_written: int, rounds_done: int) -> None:
     """Leave `out` as a run that crashed: `rows_written` rows of rounds.csv and
     a checkpoint saved after `rounds_done` rounds."""
-    config = cli._load_config(str(cfg), cli.RUN_DEFAULTS)
-    rng = np.random.default_rng(config["seed"])
-    ds = cli._prepare_features(config, cli._build_dataset(config, rng), rng)
-    plan = cli._build_plan(config, ds)
+    ds, plan = cli._setup(cli._load_config(str(cfg), cli.RUN_DEFAULTS))
     state = fed.init_state(plan, ds)
     for t in range(rounds_done):
         state, _ = fed.run_round(state, plan, t)
@@ -148,6 +161,17 @@ def test_resume_after_crash_between_row_and_checkpoint(tmp_path):
     assert cli.main(["run", str(cfg), "--out", str(partial)]) == cli.EXIT_OK
     _assert_same_run(full, partial)
     assert not list(partial.glob("checkpoint*"))
+
+
+@pytest.mark.parametrize("dp_pca", [None, {"epsilon": 1.0}], ids=["plain_pca", "dp_pca"])
+def test_setup_reduces_genomic_to_angles(tmp_path, genomic_file, dp_pca):
+    cfg = write_config(tmp_path / "cfg.json", dataset="genomic",
+                       dataset_path=str(genomic_file), features=3, dp_pca=dp_pca)
+    ds, plan = cli._setup(cli._load_config(str(cfg), cli.RUN_DEFAULTS))
+    assert ds.features.shape == (400, 3)
+    assert ds.features.min() >= 0.0
+    assert ds.features.max() < 2 * np.pi
+    assert plan.vqc_config.feature_count == 3
 
 
 def test_gen_genomic_writes_requested_count(tmp_path):

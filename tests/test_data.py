@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qflsim import data, dp
+from qflsim import data
 from qflsim.data import Dataset, SplitPlan
 
 
@@ -88,20 +88,11 @@ def test_generate_genomic_balanced_and_deterministic():
     assert seqs == seqs2
 
 
-def test_encode_genomic_plain_pca(genomic_file):
-    ds = data.encode_genomic(genomic_file, k_features=4)
-    assert ds.features.shape == (400, 4)
+def test_encode_genomic_ordinal_codes(genomic_file):
+    ds = data.encode_genomic(genomic_file)
+    assert ds.features.shape == (400, 60)
+    assert set(np.unique(ds.features)) == {0.25, 0.5, 0.75, 1.0}
     assert ds.class_count == 2
-    assert ds.features.min() >= 0.0
-    assert ds.features.max() < 2 * np.pi
-
-
-def test_encode_genomic_dp_requires_rng(genomic_file):
-    spec = dp.DpPcaSpec(4, 1.0, 1e-5)
-    with pytest.raises(ValueError):
-        data.encode_genomic(genomic_file, dp_spec=spec)
-    ds = data.encode_genomic(genomic_file, dp_spec=spec, rng=np.random.default_rng(0))
-    assert ds.features.shape == (400, 4)
 
 
 def test_plain_pca_recovers_dominant_direction(rng):
