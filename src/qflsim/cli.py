@@ -99,7 +99,10 @@ def _load_config(path, defaults: dict) -> dict:
     config = dict(defaults)
     config.update(raw)
     for key, default in defaults.items():
-        if type(default) in (int, float) and not isinstance(config[key], (int, float)):
+        # exact types: a JSON true is a bool, not the number 1, and vice versa
+        if type(default) is bool and type(config[key]) is not bool:
+            raise ConfigError(key, "must be true or false")
+        if type(default) in (int, float) and type(config[key]) not in (int, float):
             raise ConfigError(key, "must be a number")
     for key, cls in _SECTIONS.items():
         value = config.get(key)

@@ -155,10 +155,10 @@ def _package(plan: ExperimentPlan, theta: np.ndarray, device: int, round_t: int)
         sigma_dec = modelshare.decrypt_sigma(pkg.sigma_cipher, keys.receiver_key)
         return modelshare.reconstruct(pkg.U, sigma_dec, pkg.Vt, pkg.m1, pkg.m2)
     if plan.qkd_only:
-        payload = modelshare.serialize_sigma(theta)
-        keys = qkd.bb84_exchange(8 * len(payload), qkd_rng)
-        blob = qkd.otp_encrypt(payload, keys.sender_key)
-        return modelshare.deserialize_sigma(qkd.otp_decrypt(blob, keys.receiver_key))
+        # the whole vector goes through the sigma leg: 64 key bits per float
+        keys = qkd.bb84_exchange(64 * theta.size, qkd_rng)
+        blob = modelshare.encrypt_sigma(theta, keys.sender_key)
+        return modelshare.decrypt_sigma(blob, keys.receiver_key)
     return theta
 
 

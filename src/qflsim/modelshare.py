@@ -23,6 +23,8 @@ class PruneSpec:
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
+        if not isinstance(self.avg_initial, bool):
+            raise ValueError("avg_initial must be true or false")
 
 
 def prune(theta: np.ndarray, tau: float) -> np.ndarray:
@@ -65,12 +67,17 @@ def svd_split(theta: np.ndarray, m1: int, m2: int) -> tuple[np.ndarray, np.ndarr
     return U, sigma, Vt
 
 
+# the wire codec for every float (sigma, U, Vt): big-endian IEEE-754 doubles, row-major
+_WIRE_FLOAT = np.dtype(">f8")
+_HEADER = struct.Struct(">IIII")
+
+
 def serialize_sigma(sigma: np.ndarray) -> bytes:
-    return struct.pack(f">{len(sigma)}d", *np.asarray(sigma, dtype=float))
+    return np.asarray(sigma, dtype=float).astype(_WIRE_FLOAT).tobytes()
 
 
 def deserialize_sigma(data: bytes) -> np.ndarray:
-    return np.array(struct.unpack(f">{len(data) // 8}d", data))
+    return np.frombuffer(data, dtype=_WIRE_FLOAT).astype(float)
 
 
 def encrypt_sigma(sigma: np.ndarray, key: str) -> CipherBlob:
@@ -110,23 +117,27 @@ class SvdPackage:
     m1: int
     m2: int
 
+    def __post_init__(self):
+        if np.shape(self.U) != (self.m1, self.m1) or np.shape(self.Vt) != (self.m2, self.m2):
+            raise ValueError(f"U must be {self.m1}x{self.m1} and Vt {self.m2}x{self.m2}, "
+                             f"got {np.shape(self.U)} and {np.shape(self.Vt)}")
+
     def to_bytes(self) -> bytes:
         """Canonical encoding: dims, bit length, ciphertext, row-major U, Vt."""
-        header = struct.pack(
-            ">IIII", self.m1, self.m2, self.sigma_cipher.bit_length, len(self.sigma_cipher.ciphertext)
-        )
-        u_bytes = struct.pack(f">{self.m1 * self.m1}d", *self.U.reshape(-1))
-        vt_bytes = struct.pack(f">{self.m2 * self.m2}d", *self.Vt.reshape(-1))
-        return header + self.sigma_cipher.ciphertext + u_bytes + vt_bytes
+        cipher = self.sigma_cipher.ciphertext
+        header = _HEADER.pack(self.m1, self.m2, self.sigma_cipher.bit_length, len(cipher))
+        return header + cipher + serialize_sigma(self.U) + serialize_sigma(self.Vt)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SvdPackage":
-        m1, m2, bit_length, clen = struct.unpack(">IIII", data[:16])
-        off = 16
-        cipher = data[off : off + clen]
-        off += clen
-        u_len = m1 * m1 * 8
-        U = np.array(struct.unpack(f">{m1 * m1}d", data[off : off + u_len])).reshape(m1, m1)
-        off += u_len
-        Vt = np.array(struct.unpack(f">{m2 * m2}d", data[off : off + m2 * m2 * 8])).reshape(m2, m2)
-        return cls(U=U, Vt=Vt, sigma_cipher=CipherBlob(cipher, bit_length), m1=m1, m2=m2)
+        if len(data) < _HEADER.size:
+            raise ValueError(f"package of {len(data)} bytes is shorter than its header")
+        m1, m2, bit_length, clen = _HEADER.unpack_from(data)
+        expected = _HEADER.size + clen + 8 * (m1 * m1 + m2 * m2)
+        if len(data) != expected:
+            raise ValueError(f"package is {len(data)} bytes; its header implies {expected}")
+        u_start = _HEADER.size + clen
+        floats = deserialize_sigma(data[u_start:])
+        return cls(U=floats[: m1 * m1].reshape(m1, m1), Vt=floats[m1 * m1 :].reshape(m2, m2),
+                   sigma_cipher=CipherBlob(data[_HEADER.size : u_start], bit_length),
+                   m1=m1, m2=m2)

@@ -57,20 +57,19 @@ class OptimResult:
 
 
 def _evaluate(f, thetas: np.ndarray) -> np.ndarray:
-    many = getattr(f, "evaluate_many", None)
-    if many is not None:
-        values = np.asarray(many(thetas), dtype=float)
-    else:
-        values = np.array([float(f(t)) for t in thetas])
+    values = np.array([float(f(t)) for t in thetas])
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("objective returned a non-finite value")
     return values
 
 
 def parameter_shift_gradient(f, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective value and analytic gradient from 2n+1 evaluations.
+    """Objective value and the pi/2 shift rule applied to `f`, from 2n+1 evaluations.
 
     gradient_i = (f(theta + pi/2 e_i) - f(theta - pi/2 e_i)) / 2
+
+    This is AQGD's update. It is exact for expectation values, not for the
+    mean cross-entropy, whose exact gradient is `vqc.DatasetObjective.gradient`.
     """
     theta = np.asarray(theta, dtype=float)
     n = theta.size

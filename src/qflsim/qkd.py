@@ -1,14 +1,11 @@
-"""BB84 key exchange (statevector-backed) and one-time-pad encryption."""
+"""BB84 key exchange (closed-form measurement) and one-time-pad encryption."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-from . import qsim
 
 DEFAULT_ABORT_THRESHOLD = 0.15
 
@@ -23,7 +20,6 @@ class KeyCompromisedError(RuntimeError):
 class KeyPair:
     sender_key: str
     receiver_key: str
-    sifted_length: int
     qber: float
 
 
@@ -37,30 +33,19 @@ class CipherBlob:
             raise ValueError("ciphertext shorter than bit_length")
 
 
-def _prepare(bit: int, basis: int) -> qsim.StateVector:
-    gates = []
-    if bit:
-        gates.append(qsim.x(0))
-    if basis == X_BASIS:
-        gates.append(qsim.h(0))
-    return qsim.apply_circuit(qsim.zero_state(1), qsim.Circuit(1, tuple(gates)))
+def _measure(bits: np.ndarray, prep_bases: np.ndarray, meas_bases: np.ndarray,
+             rng: np.random.Generator) -> np.ndarray:
+    """Outcomes of measuring each prepared qubit in `meas_bases`.
 
-
-@lru_cache(maxsize=1)
-def _p_one_table() -> np.ndarray:
-    """p(measure 1) indexed by [prepared bit, prepare basis, measure basis].
-
-    Computed once through the simulator; sampling then vectorizes over bits.
+    A matching basis reads the prepared bit back; a mismatched one gives a
+    fair coin (|<b|H|b'>|^2 = 1/2), so p(1) is the bit or 1/2.
     """
-    table = np.empty((2, 2, 2))
-    meas_x = qsim.Circuit(1, (qsim.h(0),))
-    for bit in (0, 1):
-        for pb in (Z_BASIS, X_BASIS):
-            state = _prepare(bit, pb)
-            for mb in (Z_BASIS, X_BASIS):
-                measured = qsim.apply_circuit(state, meas_x) if mb == X_BASIS else state
-                table[bit, pb, mb] = qsim.probabilities(measured)[1]
-    return table
+    p_one = np.where(prep_bases == meas_bases, bits, 0.5)
+    return (rng.random(len(bits)) < p_one).astype(int)
+
+
+def _bit_string(bits: np.ndarray) -> str:
+    return (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def bb84_exchange(
@@ -69,35 +54,31 @@ def bb84_exchange(
     eavesdrop: bool = False,
     check_fraction: float = 0.25,
     abort_threshold: float = DEFAULT_ABORT_THRESHOLD,
-    force_matching_bases: bool = False,
 ) -> KeyPair:
-    """Run BB84 until at least `required_bits` sifted bits survive checking.
-
-    `force_matching_bases` is a test hook that skips basis sifting losses.
-    """
+    """Run BB84 until at least `required_bits` sifted bits survive checking."""
     if required_bits < 1:
         raise ValueError("required_bits must be >= 1")
     if not 0 <= check_fraction < 0.5:
         raise ValueError("check_fraction must be in [0, 0.5)")
 
-    table = _p_one_table()
-    sender_key: list[int] = []
-    receiver_key: list[int] = []
+    sender_parts: list[np.ndarray] = []
+    receiver_parts: list[np.ndarray] = []
+    kept = 0
     check_errors = 0
     check_total = 0
 
-    while len(sender_key) < required_bits:
-        batch = 4 * (required_bits - len(sender_key))
+    while kept < required_bits:
+        batch = 4 * (required_bits - kept)
         s_bits = rng.integers(0, 2, batch)
         s_bases = rng.integers(0, 2, batch)
-        r_bases = s_bases if force_matching_bases else rng.integers(0, 2, batch)
+        r_bases = rng.integers(0, 2, batch)
         if eavesdrop:
             e_bases = rng.integers(0, 2, batch)
-            e_bits = (rng.random(batch) < table[s_bits, s_bases, e_bases]).astype(int)
+            e_bits = _measure(s_bits, s_bases, e_bases, rng)
             # intercept-resend: Eve re-encodes her outcome in her basis
-            r_bits = (rng.random(batch) < table[e_bits, e_bases, r_bases]).astype(int)
+            r_bits = _measure(e_bits, e_bases, r_bases, rng)
         else:
-            r_bits = (rng.random(batch) < table[s_bits, s_bases, r_bases]).astype(int)
+            r_bits = _measure(s_bits, s_bases, r_bases, rng)
 
         keep = s_bases == r_bases
         sifted_s = s_bits[keep]
@@ -109,33 +90,31 @@ def bb84_exchange(
             check_mask[rng.choice(n_sifted, size=n_check, replace=False)] = True
         check_errors += int(np.sum(sifted_s[check_mask] != sifted_r[check_mask]))
         check_total += n_check
-        sender_key.extend(sifted_s[~check_mask].tolist())
-        receiver_key.extend(sifted_r[~check_mask].tolist())
+        sender_parts.append(sifted_s[~check_mask])
+        receiver_parts.append(sifted_r[~check_mask])
+        kept += n_sifted - n_check
 
     qber = check_errors / check_total if check_total else 0.0
     if qber > abort_threshold:
         raise KeyCompromisedError(f"QBER {qber:.3f} exceeds threshold {abort_threshold}")
-    sender = "".join(str(b) for b in sender_key[:required_bits])
-    receiver = "".join(str(b) for b in receiver_key[:required_bits])
-    return KeyPair(sender, receiver, required_bits, qber)
+    sender = _bit_string(np.concatenate(sender_parts)[:required_bits])
+    receiver = _bit_string(np.concatenate(receiver_parts)[:required_bits])
+    return KeyPair(sender, receiver, qber)
 
 
-def _key_to_bytes(key: str, n_bytes: int) -> bytes:
-    bits = np.frombuffer(key[: n_bytes * 8].encode("ascii"), dtype=np.uint8) - ord("0")
-    return np.packbits(bits).tobytes()  # MSB-first per byte
+def _xor_pad(data: bytes, key: str) -> bytes:
+    """`data` XOR the first 8 * len(data) key bits, packed MSB-first per byte."""
+    bits = np.frombuffer(key[: 8 * len(data)].encode("ascii"), dtype=np.uint8) - ord("0")
+    return np.bitwise_xor(np.frombuffer(data, dtype=np.uint8), np.packbits(bits)).tobytes()
 
 
 def otp_encrypt(plain: bytes, key: str) -> CipherBlob:
     if len(key) < 8 * len(plain):
         raise ValueError(f"key too short: need {8 * len(plain)} bits, have {len(key)}")
-    pad = _key_to_bytes(key, len(plain))
-    cipher = bytes(a ^ b for a, b in zip(plain, pad))
-    return CipherBlob(cipher, 8 * len(plain))
+    return CipherBlob(_xor_pad(plain, key), 8 * len(plain))
 
 
 def otp_decrypt(blob: CipherBlob, key: str) -> bytes:
-    n_bytes = blob.bit_length // 8
     if len(key) < blob.bit_length:
         raise ValueError(f"key too short: need {blob.bit_length} bits, have {len(key)}")
-    pad = _key_to_bytes(key, n_bytes)
-    return bytes(a ^ b for a, b in zip(blob.ciphertext[:n_bytes], pad))
+    return _xor_pad(blob.ciphertext[: blob.bit_length // 8], key)

@@ -158,7 +158,7 @@ def _mean_cross_entropy(p_correct: np.ndarray) -> float:
 
 class DatasetObjective:
     """Mean cross-entropy of the VQC on a fixed dataset, encoded once, as a function
-    of theta; `evaluate_many` keeps one theta point's (n, 2**q) state live at a time."""
+    of theta."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, config: VqcConfig):
         features = np.atleast_2d(np.asarray(features, dtype=float))
@@ -177,9 +177,6 @@ class DatasetObjective:
 
     def __call__(self, theta: np.ndarray) -> float:
         return _mean_cross_entropy(self._p_correct(theta))
-
-    def evaluate_many(self, thetas: np.ndarray) -> np.ndarray:
-        return np.array([self(t) for t in thetas])
 
     def score(self, theta: np.ndarray) -> tuple[float, float]:
         """(accuracy, mean cross-entropy); argmax ties go to the lowest class."""

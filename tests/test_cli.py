@@ -81,7 +81,12 @@ def test_run_unknown_nested_key_exits_2(tmp_path, capsys, section):
     ({"param_noise": {"kind": "laplace", "epsilon": "1"}}, "param_noise"),
     ({"dp_pca": {"epsilon": 1.0, "bounds": [0]}}, "dp_pca"),
     ({"dp_pca": {}}, "epsilon"),
-], ids=["rounds-string", "param_noise-epsilon-string", "dp_pca-one-bound", "dp_pca-empty"])
+    ({"svd_qkd": "false"}, "svd_qkd"),
+    ({"qkd_only": 1}, "qkd_only"),
+    ({"pruning": {"avg_initial": "no"}}, "avg_initial"),
+    ({"rounds": True}, "rounds"),
+], ids=["rounds-string", "param_noise-epsilon-string", "dp_pca-one-bound", "dp_pca-empty",
+        "svd_qkd-string", "qkd_only-number", "avg_initial-string", "rounds-boolean"])
 def test_run_wrongly_typed_or_missing_value_exits_2(tmp_path, capsys, overrides, named):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG

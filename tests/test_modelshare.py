@@ -130,3 +130,33 @@ def test_svd_package_encoding_is_canonical(rng):
     data = pkg.to_bytes()
     assert data == ms.SvdPackage.from_bytes(data).to_bytes()
     assert len(data) == 16 + len(blob.ciphertext) + 8 * (16 + 16)
+
+
+def _small_package():
+    # m1 = 1, m2 = 2; sigma = [5.0] under the key 1010...10
+    blob = qkd.otp_encrypt(ms.serialize_sigma(np.array([5.0])), "10" * 32)
+    return ms.SvdPackage(U=np.array([[-1.0]]), Vt=np.array([[0.5, 2.0], [-0.25, 1.0]]),
+                         sigma_cipher=blob, m1=1, m2=2)
+
+
+def test_svd_package_bytes_known_answer():
+    assert _small_package().to_bytes().hex() == (
+        "00000001" "00000002" "00000040" "00000008"  # m1, m2, bit length, cipher length
+        "eabeaaaaaaaaaaaa"  # 5.0 = 0x4014... xor 0xaa...
+        "bff0000000000000"  # U
+        "3fe0000000000000" "4000000000000000" "bfd0000000000000" "3ff0000000000000"  # Vt
+    )
+
+
+def test_svd_package_refuses_malformed_packages():
+    pkg = _small_package()
+    data = pkg.to_bytes()
+    with pytest.raises(ValueError):
+        ms.SvdPackage.from_bytes(data + b"junk")
+    for cut in (len(data) - 1, 15):
+        with pytest.raises(ValueError):
+            ms.SvdPackage.from_bytes(data[:cut])
+    with pytest.raises(ValueError):
+        ms.SvdPackage(U=np.eye(2), Vt=pkg.Vt, sigma_cipher=pkg.sigma_cipher, m1=1, m2=2)
+    with pytest.raises(ValueError):
+        ms.SvdPackage(U=pkg.U, Vt=pkg.Vt.reshape(-1), sigma_cipher=pkg.sigma_cipher, m1=1, m2=2)

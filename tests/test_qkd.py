@@ -1,27 +1,55 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflsim import qkd
+from qflsim import qkd, qsim
+
+
+class _FixedDraws:
+    """A generator stand-in whose uniform draws all equal `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+def _oracle_p_one(bit, prep_basis, meas_basis):
+    gates = [qsim.x(0)] if bit else []
+    gates += [qsim.h(0)] if prep_basis == qkd.X_BASIS else []
+    gates += [qsim.h(0)] if meas_basis == qkd.X_BASIS else []
+    state = qsim.apply_circuit(qsim.zero_state(1), qsim.Circuit(1, tuple(gates)))
+    return qsim.probabilities(state)[1]
 
 
 def test_preparation_measurement_table():
-    table = qkd._p_one_table()
-    # matching bases: deterministic readout of the prepared bit
-    for bit in (0, 1):
-        assert table[bit, qkd.Z_BASIS, qkd.Z_BASIS] == pytest.approx(bit, abs=1e-12)
-        assert table[bit, qkd.X_BASIS, qkd.X_BASIS] == pytest.approx(bit, abs=1e-12)
-    # mismatched bases: coin flip
-    for bit in (0, 1):
-        assert table[bit, qkd.Z_BASIS, qkd.X_BASIS] == pytest.approx(0.5, abs=1e-12)
-        assert table[bit, qkd.X_BASIS, qkd.Z_BASIS] == pytest.approx(0.5, abs=1e-12)
+    # an outcome is 1 exactly for draws below p(1), so draws 1e-12 either side
+    # of the simulator's p(1) pin the closed form to within 1e-12 of it
+    for bit, prep_basis, meas_basis in itertools.product((0, 1), repeat=3):
+        p_one = _oracle_p_one(bit, prep_basis, meas_basis)
+        for u, expected in ((p_one - 1e-12, 1), (p_one + 1e-12, 0)):
+            if 0.0 <= u < 1.0:
+                outcome = qkd._measure(np.array([bit]), np.array([prep_basis]),
+                                       np.array([meas_basis]), _FixedDraws(u))
+                assert outcome.tolist() == [expected], (bit, prep_basis, meas_basis, u)
+
+
+def test_matching_bases_read_back_the_prepared_bit():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2, 10_000)
+    bases = rng.integers(0, 2, 10_000)
+    np.testing.assert_array_equal(qkd._measure(bits, bases, bases, rng), bits)
+    for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):  # the lowest, middle and highest draw
+        np.testing.assert_array_equal(qkd._measure(bits, bases, bases, _FixedDraws(u)), bits)
 
 
 def test_honest_exchange_keys_agree(rng):
     pair = qkd.bb84_exchange(256, rng)
     assert pair.sender_key == pair.receiver_key
-    assert pair.sifted_length == 256
     assert len(pair.sender_key) == 256
     assert pair.qber == 0.0
 
@@ -30,6 +58,19 @@ def test_exchange_deterministic_given_seed():
     a = qkd.bb84_exchange(64, np.random.default_rng(5))
     b = qkd.bb84_exchange(64, np.random.default_rng(5))
     assert a == b
+
+
+def test_exchange_known_answer():
+    pair = qkd.bb84_exchange(64, np.random.default_rng(5))
+    key = "0110101000010010101011001000001010000100110111011100011010101111"
+    assert pair == qkd.KeyPair(key, key, 0.0)
+
+
+def test_eavesdropped_exchange_known_answer():
+    pair = qkd.bb84_exchange(64, np.random.default_rng(5), eavesdrop=True, abort_threshold=1.0)
+    assert pair.sender_key == "0110100000001001100011000100110010010100110011110110011011011110"
+    assert pair.receiver_key == "0011100000001101000111101110110011001010110111111110000010011100"
+    assert pair.qber == 9 / 31
 
 
 def test_sift_fraction_monte_carlo():
@@ -50,12 +91,6 @@ def test_eavesdropper_raises_qber(rng):
 def test_eavesdrop_qber_near_quarter(rng):
     pair = qkd.bb84_exchange(2048, rng, eavesdrop=True, abort_threshold=1.0)
     assert 0.20 <= pair.qber <= 0.30
-
-
-def test_force_matching_bases_hook(rng):
-    pair = qkd.bb84_exchange(32, rng, force_matching_bases=True, check_fraction=0.0)
-    assert pair.sender_key == pair.receiver_key
-    assert pair.qber == 0.0
 
 
 def test_exchange_argument_validation(rng):
