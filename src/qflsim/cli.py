@@ -84,6 +84,9 @@ _SECTIONS = {
     "condensation": CondenseSpec,
 }
 
+# Top-level keys that take a number but default to null.
+_OPTIONAL_NUMBERS = ("samples_per_device",)
+
 
 def _load_config(path, defaults: dict) -> dict:
     try:
@@ -104,6 +107,8 @@ def _load_config(path, defaults: dict) -> dict:
             raise ConfigError(key, "must be true or false")
         if type(default) in (int, float) and type(config[key]) not in (int, float):
             raise ConfigError(key, "must be a number")
+        if key in _OPTIONAL_NUMBERS and type(config[key]) not in (int, float, type(None)):
+            raise ConfigError(key, "must be a number or null")
     for key, cls in _SECTIONS.items():
         value = config.get(key)
         if value is None:
@@ -130,6 +135,10 @@ def _section(config: dict, key: str, **defaults):
     section = config.get(key)
     if section is None:
         return None
+    for f in dataclasses.fields(_SECTIONS[key]):
+        # bool is a subclass of int, so no spec check would refuse true or false
+        if f.type not in (bool, "bool") and isinstance(section.get(f.name), bool):
+            raise ConfigError(f"{key}.{f.name}", f"expects {f.type}, not true or false")
     try:
         return _SECTIONS[key](**{**defaults, **section})
     except (TypeError, ValueError) as exc:

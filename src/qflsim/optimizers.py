@@ -56,26 +56,42 @@ class OptimResult:
     objective_trace: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
-def _evaluate(f, thetas: np.ndarray) -> np.ndarray:
-    values = np.array([float(f(t)) for t in thetas])
+def _finite(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("objective returned a non-finite value")
     return values
 
 
+def _evaluate(f, thetas: np.ndarray) -> np.ndarray:
+    return _finite(np.array([float(f(t)) for t in thetas]))
+
+
+def shift_points(theta: np.ndarray) -> np.ndarray:
+    """The 2n+1 points theta, theta + pi/2 e_i and theta - pi/2 e_i (i = 0..n-1)."""
+    shifts = (math.pi / 2.0) * np.eye(theta.size)
+    return np.concatenate([theta[None, :], theta + shifts, theta - shifts])
+
+
 def parameter_shift_gradient(f, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective value and the pi/2 shift rule applied to `f`, from 2n+1 evaluations.
+    """Objective value and the pi/2 shift rule applied to `f`, from its values at
+    the 2n+1 `shift_points`.
 
     gradient_i = (f(theta + pi/2 e_i) - f(theta - pi/2 e_i)) / 2
+
+    An objective with a `shift_point_losses(theta)` method (such as
+    `vqc.DatasetObjective`) gives all 2n+1 values from one call; any other
+    callable is evaluated once per point.
 
     This is AQGD's update. It is exact for expectation values, not for the
     mean cross-entropy, whose exact gradient is `vqc.DatasetObjective.gradient`.
     """
     theta = np.asarray(theta, dtype=float)
     n = theta.size
-    shifts = (math.pi / 2.0) * np.eye(n)
-    points = np.concatenate([theta[None, :], theta + shifts, theta - shifts])
-    values = _evaluate(f, points)
+    shift_point_losses = getattr(f, "shift_point_losses", None)
+    if shift_point_losses is not None:
+        values = _finite(np.asarray(shift_point_losses(theta), dtype=float))
+    else:
+        values = _evaluate(f, shift_points(theta))
     grad = (values[1 : n + 1] - values[n + 1 :]) / 2.0
     return float(values[0]), grad
 

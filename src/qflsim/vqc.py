@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import qsim
+from .optimizers import shift_points
 
 LOSS_CLAMP = 1e-12
 
@@ -131,14 +132,27 @@ def encode_features(X: np.ndarray, config: VqcConfig) -> np.ndarray:
 
 def apply_ansatz_batch(amps: np.ndarray, theta: np.ndarray, config: VqcConfig) -> np.ndarray:
     """The ansatz at one theta point on a (n, 2**q) block of states."""
-    q = config.qubit_count
+    return _run_ansatz(amps, _as_theta(theta, config), config)
+
+
+def _as_theta(theta: np.ndarray, config: VqcConfig) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (config.parameter_count,):
         raise ValueError(f"expected {config.parameter_count} parameters, got shape {theta.shape}")
+    return theta
+
+
+def _run_ansatz(amps: np.ndarray, theta: np.ndarray, config: VqcConfig,
+                kept: list | None = None) -> np.ndarray:
+    """The kernel loop of `apply_ansatz_batch`; appends the state just before each
+    RY to `kept` when given."""
+    q = config.qubit_count
     perm = _cx_block_permutation(q, config.entanglement)
     for i, angle in enumerate(theta):
         if i and i % q == 0:
             amps = amps[:, perm]
+        if kept is not None:
+            kept.append(amps)
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
         amps = _apply_single_qubit(amps, i % q, c, -s, s, c)
     return amps
@@ -152,8 +166,23 @@ def class_probabilities_batch(
     return _aggregate_mod_classes(np.abs(amps) ** 2, config.class_count)
 
 
-def _mean_cross_entropy(p_correct: np.ndarray) -> float:
-    return float(np.mean(-np.log(np.maximum(p_correct, LOSS_CLAMP))))
+def _mean_cross_entropy(p_correct: np.ndarray) -> np.ndarray:
+    """Mean clamped -log over the last axis (rows)."""
+    return np.mean(-np.log(np.maximum(p_correct, LOSS_CLAMP)), axis=-1)
+
+
+# Widest state that takes the one-sweep shift points. Per AQGD step at 40 rows
+# (3 classes, ansatz_reps 3, one BLAS thread, 2-core x86; mean of 10 calls),
+# per-point loop -> sweep time and the sweep's extra peak RSS over the loop's:
+#   4 qubits   6.96 ->   1.36 ms,   +1.1 MB
+#   5 qubits   13.4 ->   2.08 ms,   +2.8 MB
+#   6 qubits   29.1 ->   4.71 ms,   +5.1 MB
+#   7 qubits   51.9 ->   13.5 ms,  +11.4 MB
+#   8 qubits    109 ->   55.0 ms,  +25.7 MB
+#  10 qubits    597 ->    856 ms,   +148 MB (mean of 3)
+# From 6 qubits the extra memory is more than a tenth of a ~37 MB run, the
+# benchmark's peak_rss_mb bound, so wider states run the ansatz once per point.
+_SWEEP_MAX_DIM = 2**5
 
 
 class DatasetObjective:
@@ -171,18 +200,69 @@ class DatasetObjective:
         self.config = config
         self._encoded = encode_features(features, config)
 
+    def _correct(self, probs: np.ndarray) -> np.ndarray:
+        """The label's column of (..., rows, C) class probabilities, C-contiguous:
+        a mean over strided rows adds in another order than over a single point's."""
+        return np.ascontiguousarray(probs[..., np.arange(len(self.labels)), self.labels])
+
     def _p_correct(self, theta: np.ndarray) -> np.ndarray:
-        probs = class_probabilities_batch(self._encoded, theta, self.config)
-        return probs[np.arange(len(self.labels)), self.labels]
+        return self._correct(class_probabilities_batch(self._encoded, theta, self.config))
 
     def __call__(self, theta: np.ndarray) -> float:
-        return _mean_cross_entropy(self._p_correct(theta))
+        return float(_mean_cross_entropy(self._p_correct(theta)))
 
     def score(self, theta: np.ndarray) -> tuple[float, float]:
         """(accuracy, mean cross-entropy); argmax ties go to the lowest class."""
         probs = class_probabilities_batch(self._encoded, theta, self.config)
         accuracy = float(np.mean(np.argmax(probs, axis=1) == self.labels))
-        return accuracy, _mean_cross_entropy(probs[np.arange(len(self.labels)), self.labels])
+        return accuracy, float(_mean_cross_entropy(self._correct(probs)))
+
+    def _shift_point_sweep(self, theta: np.ndarray) -> np.ndarray:
+        """`shift_point_p_correct` from one forward sweep and one backward sweep.
+
+        Forward, the compiled kernel keeps the state just before each RY.
+        Backward, `suffix` is the map from the state just after gate i to the
+        final state (final = after @ suffix.T); each shifted final state is
+        one 2x2 update of a kept state and one matmul with it, and prepending
+        gate i to the map is one more 2x2 update (of RY's transpose) and, where
+        gate i opens a layer, the inverse CX-block permutation of its columns.
+        """
+        config = self.config
+        q, n = config.qubit_count, theta.size
+        rows, dim = self._encoded.shape
+        before: list[np.ndarray] = []
+        final = np.empty((2 * n + 1, rows, dim), dtype=complex)
+        final[0] = _run_ansatz(self._encoded, theta, config, before)
+
+        inverse = np.argsort(_cx_block_permutation(q, config.entanglement))
+        suffix = np.eye(dim, dtype=complex)
+        for i in range(n - 1, -1, -1):
+            for point, angle in ((1 + i, theta[i] + math.pi / 2.0),
+                                 (1 + n + i, theta[i] - math.pi / 2.0)):
+                c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+                np.matmul(_apply_single_qubit(before[i], i % q, c, -s, s, c), suffix.T,
+                          out=final[point])
+            c, s = math.cos(theta[i] / 2.0), math.sin(theta[i] / 2.0)
+            suffix = _apply_single_qubit(suffix, i % q, c, s, -s, c)
+            if i and i % q == 0:
+                suffix = suffix[:, inverse]
+        return self._correct(_aggregate_mod_classes(np.abs(final) ** 2, config.class_count))
+
+    def shift_point_p_correct(self, theta: np.ndarray) -> np.ndarray:
+        """Correct-class probabilities at the 2n+1 `optimizers.shift_points` of
+        theta, shape (2n+1, rows).
+
+        States up to `_SWEEP_MAX_DIM` amplitudes take the one-sweep path; wider
+        ones run the ansatz once per point.
+        """
+        theta = _as_theta(theta, self.config)
+        if self._encoded.shape[1] <= _SWEEP_MAX_DIM:
+            return self._shift_point_sweep(theta)
+        return np.stack([self._p_correct(t) for t in shift_points(theta)])
+
+    def shift_point_losses(self, theta: np.ndarray) -> np.ndarray:
+        """Mean cross-entropy at the 2n+1 points of `shift_point_p_correct`."""
+        return _mean_cross_entropy(self.shift_point_p_correct(theta))
 
     def gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Exact analytic loss gradient.
@@ -191,13 +271,8 @@ class DatasetObjective:
         of projectors under single Pauli rotations); the chain rule through
         -log then gives the exact cross-entropy gradient.
         """
-        theta = np.asarray(theta, dtype=float)
-        n = theta.size
-        shifts = (np.pi / 2.0) * np.eye(n)
-        p0 = np.maximum(self._p_correct(theta), LOSS_CLAMP)
-        value = _mean_cross_entropy(p0)
-        grad = np.empty(n)
-        for i in range(n):
-            dp = (self._p_correct(theta + shifts[i]) - self._p_correct(theta - shifts[i])) / 2.0
-            grad[i] = float(np.mean(-dp / p0))
-        return value, grad
+        p = self.shift_point_p_correct(theta)
+        n = (p.shape[0] - 1) // 2
+        p0 = np.maximum(p[0], LOSS_CLAMP)
+        dp = (p[1 : n + 1] - p[n + 1 :]) / 2.0
+        return float(_mean_cross_entropy(p0)), np.mean(-dp / p0, axis=1)

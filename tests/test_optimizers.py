@@ -37,9 +37,46 @@ def test_shift_gradient_evaluation_count():
     assert f.calls == 2 * 3 + 1
 
 
+class ShiftPointObjective:
+    """Gives its 2n+1 shift-point values from one method call; never called per point."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def __call__(self, theta):
+        raise AssertionError("evaluated point by point")
+
+    def shift_point_losses(self, theta):
+        return self.values
+
+
 def test_shift_gradient_rejects_non_finite():
     with pytest.raises(FloatingPointError):
         optimizers.parameter_shift_gradient(lambda t: float("nan"), np.zeros(2))
+    with pytest.raises(FloatingPointError):
+        optimizers.parameter_shift_gradient(ShiftPointObjective([0.0, np.inf, 1.0]), np.zeros(1))
+
+
+def test_shift_gradient_takes_shift_point_losses_in_one_call():
+    # values at theta, theta + pi/2 e_0, theta + pi/2 e_1, theta - pi/2 e_0, theta - pi/2 e_1
+    f = ShiftPointObjective([1.0, 5.0, 2.0, 1.0, 4.0])
+    value, grad = optimizers.parameter_shift_gradient(f, np.zeros(2))
+    assert value == 1.0
+    np.testing.assert_array_equal(grad, [2.0, -1.0])
+
+
+def test_aqgd_on_dataset_objective_matches_pointwise_calls(rng):
+    cfg = vqc.VqcConfig(3, 3, ansatz_reps=2)
+    obj = vqc.DatasetObjective(rng.uniform(0, 2 * np.pi, (12, 3)), rng.integers(0, 3, 12), cfg)
+    settings = AqgdSettings(maxiter=15, eta=0.3)
+    theta0 = rng.uniform(-np.pi, np.pi, cfg.parameter_count)
+    swept = optimizers.aqgd_minimize(obj, theta0, settings)
+    pointwise = optimizers.aqgd_minimize(lambda t: obj(t), theta0, settings)
+    assert swept.iterations_run == pointwise.iterations_run
+    assert swept.eval_count == pointwise.eval_count
+    np.testing.assert_allclose(swept.theta_final, pointwise.theta_final, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(swept.objective_trace, pointwise.objective_trace, rtol=0,
+                               atol=1e-12)
 
 
 def test_aqgd_single_step_on_quadratic():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflsim import qsim, vqc
+from qflsim import optimizers, qsim, vqc
 
 CFG4 = vqc.VqcConfig(feature_count=4, class_count=3)
 
@@ -131,6 +131,26 @@ def test_kernel_matches_qsim_oracle(qubits, entanglement, ansatz_reps, feature_m
     assert np.max(np.abs(amps - oracle)) < 1e-12
     probs = vqc.class_probabilities_batch(encoded, theta, cfg)
     assert np.max(np.abs(probs - oracle_class_probabilities(X, theta, cfg))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(qubits=st.integers(1, 8), entanglement=st.sampled_from(["full", "linear"]),
+       ansatz_reps=st.integers(0, 3), feature_map_reps=st.integers(1, 2),
+       class_count=st.integers(2, 4), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_shift_point_losses_match_pointwise_calls(qubits, entanglement, ansatz_reps,
+                                                  feature_map_reps, class_count, rows, seed):
+    cfg = vqc.VqcConfig(qubits, class_count, feature_map_reps, ansatz_reps, entanglement)
+    rng = np.random.default_rng(seed)
+    obj = vqc.DatasetObjective(rng.uniform(0, 2 * np.pi, (rows, qubits)),
+                               rng.integers(0, class_count, rows), cfg)
+    theta = rng.uniform(-np.pi, np.pi, cfg.parameter_count)
+    expected = np.array([obj(t) for t in optimizers.shift_points(theta)])
+    # the sweep at every width, whichever path the width rule picks
+    swept = vqc._mean_cross_entropy(obj._shift_point_sweep(theta))
+    assert np.max(np.abs(swept - expected)) < 1e-13
+    losses = obj.shift_point_losses(theta)
+    assert losses.shape == (2 * cfg.parameter_count + 1,)
+    assert np.max(np.abs(losses - expected)) < 1e-13
 
 
 def test_cross_entropy_examples(rng):
