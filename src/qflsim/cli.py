@@ -127,6 +127,25 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+# The JSON values each spec annotation takes, by exact type: bool is a subclass
+# of int, so no spec check would refuse true or false where a number goes.
+_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,),
+               "None": (type(None),)}
+
+
+def _accepts(annotation: str, value) -> bool:
+    """Whether a JSON value fits a spec field's annotation, such as "float | None"
+    or "tuple[float, float]" (a list of such items; the spec checks its length)."""
+    for option in annotation.split(" | "):
+        if option.startswith("tuple["):
+            item = option[len("tuple["):].split(",")[0]
+            if isinstance(value, list) and all(_accepts(item, v) for v in value):
+                return True
+        elif type(value) in _JSON_TYPES[option]:
+            return True
+    return False
+
+
 def _section(config: dict, key: str, **defaults):
     """The spec built from nested object `key`, or None when it is null.
 
@@ -136,9 +155,9 @@ def _section(config: dict, key: str, **defaults):
     if section is None:
         return None
     for f in dataclasses.fields(_SECTIONS[key]):
-        # bool is a subclass of int, so no spec check would refuse true or false
-        if f.type not in (bool, "bool") and isinstance(section.get(f.name), bool):
-            raise ConfigError(f"{key}.{f.name}", f"expects {f.type}, not true or false")
+        if f.name in section and not _accepts(f.type, section[f.name]):
+            raise ConfigError(f"{key}.{f.name}",
+                              f"expects {f.type}, not {json.dumps(section[f.name])}")
     try:
         return _SECTIONS[key](**{**defaults, **section})
     except (TypeError, ValueError) as exc:

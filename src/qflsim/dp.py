@@ -21,7 +21,7 @@ class NoiseMechanism:
     delta: float | None = None
 
     def __post_init__(self):
-        kind = self.kind.lower()
+        kind = self.kind.lower() if isinstance(self.kind, str) else self.kind
         if kind not in ("laplace", "gaussian"):
             raise ValueError(f"unknown mechanism {self.kind!r}")
         object.__setattr__(self, "kind", kind)

@@ -142,17 +142,13 @@ def _as_theta(theta: np.ndarray, config: VqcConfig) -> np.ndarray:
     return theta
 
 
-def _run_ansatz(amps: np.ndarray, theta: np.ndarray, config: VqcConfig,
-                kept: list | None = None) -> np.ndarray:
-    """The kernel loop of `apply_ansatz_batch`; appends the state just before each
-    RY to `kept` when given."""
+def _run_ansatz(amps: np.ndarray, theta: np.ndarray, config: VqcConfig) -> np.ndarray:
+    """The kernel loop of `apply_ansatz_batch`."""
     q = config.qubit_count
     perm = _cx_block_permutation(q, config.entanglement)
     for i, angle in enumerate(theta):
         if i and i % q == 0:
             amps = amps[:, perm]
-        if kept is not None:
-            kept.append(amps)
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
         amps = _apply_single_qubit(amps, i % q, c, -s, s, c)
     return amps
@@ -172,17 +168,22 @@ def _mean_cross_entropy(p_correct: np.ndarray) -> np.ndarray:
 
 
 # Widest state that takes the one-sweep shift points. Per AQGD step at 40 rows
-# (3 classes, ansatz_reps 3, one BLAS thread, 2-core x86; mean of 10 calls),
-# per-point loop -> sweep time and the sweep's extra peak RSS over the loop's:
-#   4 qubits   6.96 ->   1.36 ms,   +1.1 MB
-#   5 qubits   13.4 ->   2.08 ms,   +2.8 MB
-#   6 qubits   29.1 ->   4.71 ms,   +5.1 MB
-#   7 qubits   51.9 ->   13.5 ms,  +11.4 MB
-#   8 qubits    109 ->   55.0 ms,  +25.7 MB
-#  10 qubits    597 ->    856 ms,   +148 MB (mean of 3)
-# From 6 qubits the extra memory is more than a tenth of a ~37 MB run, the
-# benchmark's peak_rss_mb bound, so wider states run the ansatz once per point.
-_SWEEP_MAX_DIM = 2**5
+# (3 classes, ansatz_reps 3, full entanglement, one BLAS thread, 2-core x86;
+# mean of 10 calls, 3 at 10 qubits), per-point loop -> sweep time and the
+# sweep's extra peak RSS over the loop's:
+#   4 qubits   7.49 ->  0.68 ms,   +0.5 MB
+#   5 qubits   17.2 ->  1.69 ms,   +0.6 MB
+#   6 qubits   28.1 ->  2.21 ms,   +0.5 MB
+#   7 qubits   58.2 ->  3.66 ms,   +0.9 MB
+#   8 qubits    110 ->  11.9 ms,   +1.6 MB
+#   9 qubits    268 ->  44.5 ms,   +5.0 MB
+#  10 qubits    616 ->   175 ms,  +17.5 MB
+# The sweep holds the suffix map and one spare, each dim x dim float64, plus a
+# few (2 rows, dim) buffers, whatever the parameter count. From 9 qubits that is
+# more than a tenth of a ~37 MB run, the benchmark's peak_rss_mb bound (the
+# map alone is 128 MB at 12 qubits), so wider states run the ansatz once per
+# point.
+_SWEEP_MAX_DIM = 2**8
 
 
 class DatasetObjective:
@@ -218,35 +219,83 @@ class DatasetObjective:
         return accuracy, float(_mean_cross_entropy(self._correct(probs)))
 
     def _shift_point_sweep(self, theta: np.ndarray) -> np.ndarray:
-        """`shift_point_p_correct` from one forward sweep and one backward sweep.
+        """`shift_point_p_correct` from one forward run and one backward walk.
 
-        Forward, the compiled kernel keeps the state just before each RY.
-        Backward, `suffix` is the map from the state just after gate i to the
-        final state (final = after @ suffix.T); each shifted final state is
-        one 2x2 update of a kept state and one matmul with it, and prepending
-        gate i to the map is one more 2x2 update (of RY's transpose) and, where
-        gate i opens a layer, the inverse CX-block permutation of its columns.
+        The compiled kernel runs forward once. The walk then goes back from the
+        final state, undoing each RY and CX block, and holds only `after`, the
+        state just after gate i, and `suffix`, the real orthogonal map from there
+        to the final state (final = after @ suffix). With G = RY(pi),
+        RY(a) = cos(a/2) I + sin(a/2) G, so both shifted final states of
+        parameter i are (final +- (G after) @ suffix) / sqrt(2), and undoing
+        RY(theta_i) is cos(theta_i/2) after - sin(theta_i/2) G after. Only the
+        amplitudes of each row's class are needed: rows are sorted by label,
+        a row's real and imaginary parts are adjacent, and the suffix keeps the
+        columns of class c (indices c mod C) as block c, zero-padded to one
+        width, so one real GEMM per class gives them. Memory does not grow
+        with n.
         """
         config = self.config
-        q, n = config.qubit_count, theta.size
+        q, n, classes = config.qubit_count, theta.size, config.class_count
         rows, dim = self._encoded.shape
-        before: list[np.ndarray] = []
-        final = np.empty((2 * n + 1, rows, dim), dtype=complex)
-        final[0] = _run_ansatz(self._encoded, theta, config, before)
+        p = np.empty((2 * n + 1, rows))
+        final = _run_ansatz(self._encoded, theta, config)
+        p[0] = self._correct(_aggregate_mod_classes(np.abs(final) ** 2, classes))
 
+        order = np.argsort(self.labels, kind="stable")
+        after = np.empty((rows, 2, dim))
+        after[:, 0], after[:, 1] = final[order].real, final[order].imag
+        after = after.reshape(2 * rows, dim)
+        del final
+        width = -(-dim // classes)
+        final_class, shifted, summed = (np.zeros((2 * rows, width)) for _ in range(3))
+        suffix, spare = np.zeros((dim, classes * width)), np.empty((dim, classes * width))
+        work = np.empty_like(after)
+        gemms = []  # per class present: its rows of G after, its suffix block, its output
+        counts = np.bincount(self.labels, minlength=classes)
+        bounds = 2 * np.concatenate([[0], np.cumsum(counts)])
+        for c, (r0, r1) in enumerate(zip(bounds[:-1], bounds[1:])):
+            size = len(range(c, dim, classes))
+            suffix[np.arange(c, dim, classes), c * width + np.arange(size)] = 1.0
+            final_class[r0:r1, :size] = after[r0:r1, c::classes]
+            if r1 > r0:
+                gemms.append((work[r0:r1], suffix[:, c * width : (c + 1) * width],
+                              shifted[r0:r1]))
+        # the two halves of each qubit's amplitude pairs, per buffer
+        halves = [[buf.reshape(-1, 2, (1 << k) * step)[:, j]
+                   for buf, step in ((after, 1), (work, 1), (suffix, suffix.shape[1]),
+                                     (spare, suffix.shape[1])) for j in (0, 1)]
+                  for k in range(q)]
+        pairs = summed.reshape(rows, 2, width)
+        sorted_p = np.empty((2 * n, rows))
         inverse = np.argsort(_cx_block_permutation(q, config.entanglement))
-        suffix = np.eye(dim, dtype=complex)
         for i in range(n - 1, -1, -1):
-            for point, angle in ((1 + i, theta[i] + math.pi / 2.0),
-                                 (1 + n + i, theta[i] - math.pi / 2.0)):
-                c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-                np.matmul(_apply_single_qubit(before[i], i % q, c, -s, s, c), suffix.T,
-                          out=final[point])
+            a0, a1, g0, g1, s0, s1, t0, t1 = halves[i % q]
+            np.negative(a1, out=g0)
+            np.copyto(g1, a0)
+            for gafter, block, out in gemms:
+                np.matmul(gafter, block, out=out)
+            for point, combine in ((i, np.add), (n + i, np.subtract)):
+                combine(final_class, shifted, out=summed)
+                np.einsum("ikj,ikj->i", pairs, pairs, out=sorted_p[point])
+            if i == 0:
+                break
+            # Step back over gate i: RY(-theta_i), then the inverse CX block
+            # where gate i opens a layer; the suffix map takes gate i in front.
             c, s = math.cos(theta[i] / 2.0), math.sin(theta[i] / 2.0)
-            suffix = _apply_single_qubit(suffix, i % q, c, s, -s, c)
-            if i and i % q == 0:
-                suffix = suffix[:, inverse]
-        return self._correct(_aggregate_mod_classes(np.abs(final) ** 2, config.class_count))
+            work *= s
+            after *= c
+            after -= work
+            np.multiply(s1, s, out=t0)
+            np.multiply(s0, -s, out=t1)
+            suffix *= c
+            suffix += spare
+            if i % q == 0:
+                np.take(after, inverse, axis=1, out=work, mode="clip")
+                np.copyto(after, work)
+                np.take(suffix, inverse, axis=0, out=spare, mode="clip")
+                np.copyto(suffix, spare)
+        p[1:, order] = 0.5 * sorted_p
+        return p
 
     def shift_point_p_correct(self, theta: np.ndarray) -> np.ndarray:
         """Correct-class probabilities at the 2n+1 `optimizers.shift_points` of

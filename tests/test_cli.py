@@ -89,10 +89,14 @@ def test_run_unknown_nested_key_exits_2(tmp_path, capsys, section):
     ({"dp_optimizer": {"epsilon": True, "sensitivity": 0.1}}, "dp_optimizer.epsilon"),
     ({"param_noise": {"epsilon": True}}, "param_noise.epsilon"),
     ({"samples_per_device": True}, "samples_per_device"),
+    ({"param_noise": {"kind": 1, "epsilon": 1.0}}, "param_noise.kind"),
+    ({"condensation": {"images_per_class": 2.5}}, "condensation.images_per_class"),
+    ({"dp_pca": {"epsilon": 1.0, "bounds": [True, 2]}}, "dp_pca.bounds"),
 ], ids=["rounds-string", "param_noise-epsilon-string", "dp_pca-one-bound", "dp_pca-empty",
         "svd_qkd-string", "qkd_only-number", "avg_initial-string", "rounds-boolean",
         "pruning-tau-boolean", "dp_optimizer-epsilon-boolean", "param_noise-epsilon-boolean",
-        "samples_per_device-boolean"])
+        "samples_per_device-boolean", "param_noise-kind-number",
+        "condensation-images_per_class-fraction", "dp_pca-bounds-boolean"])
 def test_run_wrongly_typed_or_missing_value_exits_2(tmp_path, capsys, overrides, named):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,47 @@ def test_shift_point_losses_match_pointwise_calls(qubits, entanglement, ansatz_r
     losses = obj.shift_point_losses(theta)
     assert losses.shape == (2 * cfg.parameter_count + 1,)
     assert np.max(np.abs(losses - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("ansatz_reps", [0, 1])
+def test_shift_point_losses_past_the_sweep_width_match_pointwise_calls(rows, ansatz_reps):
+    # 9 qubits: wider than _SWEEP_MAX_DIM, so shift_point_losses runs the per-point loop
+    cfg = vqc.VqcConfig(9, 3, ansatz_reps=ansatz_reps, entanglement="linear")
+    rng = np.random.default_rng(rows + 10 * ansatz_reps)
+    obj = vqc.DatasetObjective(rng.uniform(0, 2 * np.pi, (rows, 9)),
+                               rng.integers(0, 3, rows), cfg)
+    assert 2**9 > vqc._SWEEP_MAX_DIM
+    theta = rng.uniform(-np.pi, np.pi, cfg.parameter_count)
+    expected = np.array([obj(t) for t in optimizers.shift_points(theta)])
+    losses = obj.shift_point_losses(theta)
+    assert losses.shape == (2 * cfg.parameter_count + 1,)
+    assert np.max(np.abs(losses - expected)) < 1e-13
+    swept = vqc._mean_cross_entropy(obj._shift_point_sweep(theta))
+    assert np.max(np.abs(swept - expected)) < 1e-13
+
+
+def _traced_peak_of_shift_points(ansatz_reps: int) -> int:
+    """Peak traced allocation, in bytes, of one shift_point_p_correct call at
+    8 qubits and 40 rows."""
+    cfg = vqc.VqcConfig(8, 2, ansatz_reps=ansatz_reps, entanglement="linear")
+    rng = np.random.default_rng(ansatz_reps)
+    obj = vqc.DatasetObjective(rng.uniform(0, 2 * np.pi, (40, 8)),
+                               rng.integers(0, 2, 40), cfg)
+    theta = rng.uniform(-np.pi, np.pi, cfg.parameter_count)
+    obj.shift_point_p_correct(theta)  # fills the CX-permutation cache
+    tracemalloc.start()
+    try:
+        obj.shift_point_p_correct(theta)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shift_point_sweep_memory_does_not_grow_with_parameters():
+    shallow, deep = _traced_peak_of_shift_points(1), _traced_peak_of_shift_points(6)
+    assert deep < 2.5 * 2**20
+    assert deep < 1.10 * shallow
 
 
 def test_cross_entropy_examples(rng):
