@@ -154,6 +154,13 @@ def _run_ansatz(amps: np.ndarray, theta: np.ndarray, config: VqcConfig) -> np.nd
     return amps
 
 
+def _pair_halves(buf: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the two halves of a C-contiguous buffer's amplitude pairs, where
+    a pair's members are `block` elements apart (one qubit's bit)."""
+    view = buf.reshape(-1, 2, block)
+    return view[:, 0], view[:, 1]
+
+
 def class_probabilities_batch(
     encoded: np.ndarray, theta: np.ndarray, config: VqcConfig
 ) -> np.ndarray:
@@ -168,21 +175,21 @@ def _mean_cross_entropy(p_correct: np.ndarray) -> np.ndarray:
 
 
 # Widest state that takes the one-sweep shift points. Per AQGD step at 40 rows
-# (3 classes, ansatz_reps 3, full entanglement, one BLAS thread, 2-core x86;
-# mean of 10 calls, 3 at 10 qubits), per-point loop -> sweep time and the
-# sweep's extra peak RSS over the loop's:
-#   4 qubits   7.49 ->  0.68 ms,   +0.5 MB
-#   5 qubits   17.2 ->  1.69 ms,   +0.6 MB
-#   6 qubits   28.1 ->  2.21 ms,   +0.5 MB
-#   7 qubits   58.2 ->  3.66 ms,   +0.9 MB
-#   8 qubits    110 ->  11.9 ms,   +1.6 MB
-#   9 qubits    268 ->  44.5 ms,   +5.0 MB
-#  10 qubits    616 ->   175 ms,  +17.5 MB
-# The sweep holds the suffix map and one spare, each dim x dim float64, plus a
-# few (2 rows, dim) buffers, whatever the parameter count. From 9 qubits that is
-# more than a tenth of a ~37 MB run, the benchmark's peak_rss_mb bound (the
-# map alone is 128 MB at 12 qubits), so wider states run the ansatz once per
-# point.
+# (3 classes, ansatz_reps 3, full entanglement, one BLAS thread, shared 2-core
+# x86; fastest of 10 calls, of 3 at 10 qubits, over two runs), per-point loop
+# -> sweep time and the sweep's extra peak RSS over the loop's:
+#   4 qubits   7.19 ->  0.65 ms,   +0.4 MB
+#   5 qubits   13.9 ->  1.02 ms,   +0.6 MB
+#   6 qubits   25.9 ->  1.80 ms,   +0.7 MB
+#   7 qubits   51.6 ->  3.39 ms,   +0.9 MB
+#   8 qubits    106 ->  9.07 ms,   +1.5 MB
+#   9 qubits    228 ->  43.1 ms,   +4.9 MB
+#  10 qubits    589 ->   166 ms,  +17.5 MB
+# The sweep holds the suffix map and one spare, each about dim x dim float64,
+# plus a few (2 rows, dim) buffers, whatever the parameter count. From 9 qubits
+# that is more than a tenth of a ~37 MB run, the benchmark's peak_rss_mb bound
+# (the map alone is 128 MB at 12 qubits), so wider states run the ansatz once
+# per point.
 _SWEEP_MAX_DIM = 2**8
 
 
@@ -260,10 +267,9 @@ class DatasetObjective:
             if r1 > r0:
                 gemms.append((work[r0:r1], suffix[:, c * width : (c + 1) * width],
                               shifted[r0:r1]))
-        # the two halves of each qubit's amplitude pairs, per buffer
-        halves = [[buf.reshape(-1, 2, (1 << k) * step)[:, j]
-                   for buf, step in ((after, 1), (work, 1), (suffix, suffix.shape[1]),
-                                     (spare, suffix.shape[1])) for j in (0, 1)]
+        row = suffix.shape[1]  # the suffix's amplitude axis is its rows
+        halves = [(*_pair_halves(after, 1 << k), *_pair_halves(work, 1 << k),
+                   *_pair_halves(suffix, row << k), *_pair_halves(spare, row << k))
                   for k in range(q)]
         pairs = summed.reshape(rows, 2, width)
         sorted_p = np.empty((2 * n, rows))
