@@ -46,6 +46,10 @@ class ExperimentPlan:
             raise ValueError("svd_qkd and qkd_only are mutually exclusive")
         if self.optimizer not in ("aqgd", "spsa"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer == "spsa" and self.dp_optimizer is not None:
+            raise ValueError("dp_optimizer needs optimizer aqgd; spsa adds no DP noise")
+        if self.spsa_maxiter < 1:
+            raise ValueError("spsa_maxiter must be >= 1")
 
 
 @dataclass
@@ -170,8 +174,6 @@ def run_round(state: FedState, plan: ExperimentPlan, round_t: int) -> tuple[FedS
 
     new_thetas: list[np.ndarray] = []
     updates: list[np.ndarray] = []
-    train_accs: list[float] = []
-    test_accs: list[float] = []
     dropped: list[int] = []
     errors: list[str] = []
 
@@ -179,11 +181,8 @@ def run_round(state: FedState, plan: ExperimentPlan, round_t: int) -> tuple[FedS
         theta = state.device_thetas[k]
         if round_t > 0 and state.theta_bar is not None:
             theta = modelshare.apply_global(theta, state.theta_bar, avg_initial)
-        train_objective, test_objective = state.device_objectives[k]
-        theta = _train(plan, theta, train_objective, k, round_t)
+        theta = _train(plan, theta, state.device_objectives[k][0], k, round_t)
         new_thetas.append(theta)
-        train_accs.append(train_objective.score(theta)[0])
-        test_accs.append(test_objective.score(theta)[0])
         try:
             updates.append(_package(plan, theta, k, round_t))
         except qkd.KeyCompromisedError as exc:
@@ -196,14 +195,20 @@ def run_round(state: FedState, plan: ExperimentPlan, round_t: int) -> tuple[FedS
         errors.append("all device updates dropped; keeping previous global model")
         theta_bar = state.theta_bar if state.theta_bar is not None else new_thetas[0]
 
+    # every device's train and test score and the averaged model's val and test
+    # score, from pooled kernel runs
     val_objective, test_objective = state.server_objectives
-    pred_val_acc, pred_val_loss = val_objective.score(theta_bar)
-    pred_test_acc, pred_test_loss = test_objective.score(theta_bar)
+    *device_scores, (pred_val_acc, pred_val_loss), (pred_test_acc, pred_test_loss) = (
+        vqc.score_many([(obj, theta) for objs, theta in zip(state.device_objectives, new_thetas)
+                        for obj in objs]
+                       + [(val_objective, theta_bar), (test_objective, theta_bar)]))
+    train_accs = [acc for acc, _ in device_scores[0::2]]
+    test_accs = [acc for acc, _ in device_scores[1::2]]
     server_score = pred_test_acc  # un-adapted averaged model on the server test set
 
     theta_gplus = _finetune(plan, theta_bar.copy(), val_objective, round_t)
-    gplus_val_acc, gplus_val_loss = val_objective.score(theta_gplus)
-    gplus_test_acc, gplus_test_loss = test_objective.score(theta_gplus)
+    (gplus_val_acc, gplus_val_loss), (gplus_test_acc, gplus_test_loss) = vqc.score_many(
+        [(val_objective, theta_gplus), (test_objective, theta_gplus)])
 
     record = RoundRecord(
         round_index=round_t,

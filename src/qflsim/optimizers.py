@@ -53,6 +53,7 @@ class OptimResult:
     objective_final: float
     eval_count: int
     iterations_run: int
+    stop_reason: str  # "maxiter", "param_tol" or "tol"
     objective_trace: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
@@ -63,6 +64,11 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(f, thetas: np.ndarray) -> np.ndarray:
+    """f at each of the points; an objective with a `losses(thetas)` method
+    (such as `vqc.DatasetObjective`) gives them all from one call."""
+    losses = getattr(f, "losses", None)
+    if losses is not None:
+        return _finite(np.asarray(losses(thetas), dtype=float))
     return _finite(np.array([float(f(t)) for t in thetas]))
 
 
@@ -105,6 +111,7 @@ def _aqgd_core(
     trace: list[float] = []
     eval_count = 0
     iterations = 0
+    stop_reason = "maxiter"
 
     for _ in range(settings.maxiter):
         value, grad = parameter_shift_gradient(f, theta)
@@ -120,11 +127,13 @@ def _aqgd_core(
         theta = theta - update
 
         if float(np.max(np.abs(update))) < settings.param_tol:
+            stop_reason = "param_tol"
             break
         if len(trace) >= settings.averaging + 1:
             prev_avg = float(np.mean(trace[-settings.averaging - 1 : -1]))
             cur_avg = float(np.mean(trace[-settings.averaging :]))
             if abs(cur_avg - prev_avg) < settings.tol:
+                stop_reason = "tol"
                 break
 
     return OptimResult(
@@ -132,6 +141,7 @@ def _aqgd_core(
         objective_final=trace[-1],
         eval_count=eval_count,
         iterations_run=iterations,
+        stop_reason=stop_reason,
         objective_trace=np.array(trace),
     )
 
@@ -156,7 +166,8 @@ def spsa_minimize(
     c: float = 0.1,
     A: float | None = None,
 ) -> OptimResult:
-    """Simultaneous-perturbation approximation; 2 evaluations per iteration."""
+    """Simultaneous-perturbation approximation; 2 evaluations per iteration,
+    both perturbed points in one `_evaluate` call."""
     if maxiter < 1:
         raise ValueError("maxiter must be >= 1")
     if A is None:
@@ -177,5 +188,6 @@ def spsa_minimize(
         objective_final=trace[-1],
         eval_count=2 * maxiter,
         iterations_run=maxiter,
+        stop_reason="maxiter",
         objective_trace=np.array(trace),
     )

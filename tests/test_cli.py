@@ -105,6 +105,21 @@ def test_run_wrongly_typed_or_missing_value_exits_2(tmp_path, capsys, overrides,
     assert named in err
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ({"optimizer": "spsa", "dp_optimizer": {"epsilon": 1.0, "sensitivity": 0.1}},
+     "dp_optimizer"),
+    ({"optimizer": "spsa", "spsa_maxiter": 0}, "spsa_maxiter"),
+], ids=["spsa-with-dp_optimizer", "spsa_maxiter-zero"])
+def test_run_refused_plan_exits_2_before_any_output(tmp_path, capsys, overrides, named):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert named in err
+    assert not out.exists()
+
+
 def test_run_negative_epsilon_exits_2_naming_field(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        param_noise={"kind": "laplace", "epsilon": -1.0})

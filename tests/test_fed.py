@@ -8,7 +8,7 @@ from qflsim.condense import CondenseSpec
 from qflsim.data import SplitPlan
 from qflsim.dp import NoiseMechanism
 from qflsim.modelshare import PruneSpec
-from qflsim.optimizers import AqgdSettings
+from qflsim.optimizers import AqgdSettings, DpSettings
 
 FAST_AQGD = AqgdSettings(maxiter=2, eta=0.3, momentum=0.25)
 
@@ -39,6 +39,10 @@ def test_plan_validation():
         make_plan(svd_qkd=True, qkd_only=True)
     with pytest.raises(ValueError):
         make_plan(optimizer="adam")
+    with pytest.raises(ValueError, match="dp_optimizer"):
+        make_plan(optimizer="spsa", dp_optimizer=DpSettings(epsilon=1.0, delta=1e-5))
+    with pytest.raises(ValueError, match="spsa_maxiter"):
+        make_plan(optimizer="spsa", spsa_maxiter=0)
 
 
 def test_init_state_reproducible(iris_angles):
@@ -175,6 +179,27 @@ def test_each_dataset_is_encoded_once(iris_angles, monkeypatch):
     monkeypatch.setattr(vqc, "encode_features", counting)
     fed.run_experiment(plan, iris_angles)
     assert calls["n"] == 2 * plan.device_count + 2
+
+
+def test_spsa_round_pools_its_kernel_runs(iris_angles, monkeypatch):
+    # 4 qubits: per device one run per SPSA step (both points); then one run for
+    # every device's train and test score with the averaged model's val and
+    # test score, one for the fine-tune step and one for the G+ scores
+    plan = make_plan(device_count=5, optimizer="spsa", spsa_maxiter=2,
+                     split=SplitPlan(device_count=5, samples_per_device=20,
+                                     server_val_size=20, server_test_size=20, seed=0))
+    state = fed.init_state(plan, iris_angles)
+    real = vqc.apply_ansatz_batch
+    calls = []
+
+    def counting(amps, theta, config):
+        calls.append(len(amps))
+        return real(amps, theta, config)
+
+    monkeypatch.setattr(vqc, "apply_ansatz_batch", counting)
+    fed.run_round(state, plan, 0)
+    assert len(calls) == 5 * 2 + 3
+    assert calls[10] == 5 * 20 + 2 * 20  # the pooled scoring run holds every row
 
 
 def test_all_devices_dropped_keeps_previous_global(iris_angles, monkeypatch):

@@ -164,6 +164,63 @@ def test_spsa_eval_count():
     assert f.calls == 34
 
 
+def test_spsa_on_dataset_objective_matches_pointwise_calls(rng):
+    cfg = vqc.VqcConfig(4, 3, ansatz_reps=2)
+    obj = vqc.DatasetObjective(rng.uniform(0, 2 * np.pi, (12, 4)), rng.integers(0, 3, 12), cfg)
+    theta0 = rng.uniform(-np.pi, np.pi, cfg.parameter_count)
+    pooled = optimizers.spsa_minimize(obj, theta0, 6, np.random.default_rng(5))
+    pointwise = optimizers.spsa_minimize(lambda t: obj(t), theta0, 6, np.random.default_rng(5))
+    np.testing.assert_array_equal(pooled.theta_final, pointwise.theta_final)
+    np.testing.assert_array_equal(pooled.objective_trace, pointwise.objective_trace)
+    assert pooled.eval_count == pointwise.eval_count == 12
+
+
+def test_spsa_evaluates_both_points_in_one_losses_call():
+    class LossesObjective:
+        def __init__(self):
+            self.batches = []
+
+        def __call__(self, theta):
+            raise AssertionError("evaluated point by point")
+
+        def losses(self, thetas):
+            self.batches.append(len(thetas))
+            return [float(np.sum(t**2)) for t in thetas]
+
+    f = LossesObjective()
+    optimizers.spsa_minimize(f, np.ones(3), 4, np.random.default_rng(0))
+    assert f.batches == [2, 2, 2, 2]
+
+
+def _aqgd_runs(f, theta0, settings):
+    """The same run through AQGD and through DP-AQGD with zero noise."""
+    dp = DpSettings(epsilon=1.0, delta=1e-5, sensitivity=0.0)  # sigma = 0
+    return [optimizers.aqgd_minimize(f, theta0, settings),
+            optimizers.dp_aqgd_minimize(f, theta0, settings, dp, np.random.default_rng(0))]
+
+
+def test_stop_reason_maxiter():
+    settings = AqgdSettings(maxiter=4, eta=0.01, tol=0.0, param_tol=0.0)
+    for result in _aqgd_runs(lambda t: float(np.sum(t**2)), np.ones(2), settings):
+        assert (result.stop_reason, result.iterations_run) == ("maxiter", 4)
+    spsa = optimizers.spsa_minimize(lambda t: 1.0, np.ones(2), 3, np.random.default_rng(0))
+    assert spsa.stop_reason == "maxiter"
+
+
+def test_stop_reason_param_tol():
+    # at the minimum of cos the gradient, and so the update, is 0
+    settings = AqgdSettings(maxiter=50, eta=0.1, momentum=0.0, param_tol=1e-6)
+    for result in _aqgd_runs(lambda t: float(np.cos(t[0])), np.array([np.pi]), settings):
+        assert (result.stop_reason, result.iterations_run) == ("param_tol", 1)
+
+
+def test_stop_reason_tol():
+    # a flat objective with param_tol 0: the averaged objective stops moving
+    settings = AqgdSettings(maxiter=50, eta=0.1, tol=1e-6, param_tol=0.0, averaging=2)
+    for result in _aqgd_runs(lambda t: 1.0, np.ones(2), settings):
+        assert (result.stop_reason, result.iterations_run) == ("tol", 3)
+
+
 def test_shift_matches_fd_on_vqc_loss(rng):
     cfg = vqc.VqcConfig(4, 3)
     for _ in range(20):

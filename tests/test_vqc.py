@@ -137,6 +137,92 @@ def test_kernel_matches_qsim_oracle(qubits, entanglement, ansatz_reps, feature_m
 
 @settings(max_examples=40, deadline=None)
 @given(qubits=st.integers(1, 8), entanglement=st.sampled_from(["full", "linear"]),
+       ansatz_reps=st.integers(0, 2), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_per_row_theta_matches_row_by_row_calls(qubits, entanglement, ansatz_reps, rows, seed):
+    cfg = vqc.VqcConfig(qubits, 2, ansatz_reps=ansatz_reps, entanglement=entanglement)
+    rng = np.random.default_rng(seed)
+    encoded = vqc.encode_features(rng.uniform(0, 2 * np.pi, (rows, qubits)), cfg)
+    thetas = rng.uniform(-np.pi, np.pi, (rows, cfg.parameter_count))
+    pooled = vqc.apply_ansatz_batch(encoded, thetas, cfg)
+    single = np.concatenate([vqc.apply_ansatz_batch(encoded[r : r + 1], thetas[r], cfg)
+                             for r in range(rows)])
+    assert np.array_equal(pooled, single)
+
+
+def test_per_row_theta_needs_one_row_per_state():
+    encoded = vqc.encode_features(np.zeros((3, 4)), CFG4)
+    with pytest.raises(ValueError):
+        vqc.apply_ansatz_batch(encoded, np.zeros((2, 16)), CFG4)
+    with pytest.raises(ValueError):
+        vqc.apply_ansatz_batch(encoded, np.zeros((3, 15)), CFG4)
+
+
+def _scored_alone(obj: vqc.DatasetObjective, theta: np.ndarray) -> tuple[float, float]:
+    """(accuracy, loss) from one kernel run of this objective alone."""
+    probs = vqc.class_probabilities_batch(obj._encoded, theta, obj.config)
+    accuracy = float(np.mean(np.argmax(probs, axis=1) == obj.labels))
+    return accuracy, float(vqc._mean_cross_entropy(obj._correct(probs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(qubits=st.integers(1, 8), entanglement=st.sampled_from(["full", "linear"]),
+       ansatz_reps=st.integers(0, 3), class_count=st.integers(2, 4),
+       sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       theta_picks=st.lists(st.integers(0, 2), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_pooled_scores_match_scoring_alone(qubits, entanglement, ansatz_reps, class_count,
+                                           sizes, theta_picks, seed):
+    cfg = vqc.VqcConfig(qubits, class_count, ansatz_reps=ansatz_reps,
+                        entanglement=entanglement)
+    rng = np.random.default_rng(seed)
+    objectives = [vqc.DatasetObjective(rng.uniform(0, 2 * np.pi, (rows, qubits)),
+                                       rng.integers(0, class_count, rows), cfg)
+                  for rows in sizes]
+    thetas = rng.uniform(-np.pi, np.pi, (3, cfg.parameter_count))
+    # some pairs share a theta, and the first objective is also scored at a second one
+    pairs = [(obj, thetas[pick]) for obj, pick in zip(objectives, theta_picks)]
+    pairs.append((objectives[0], thetas[(theta_picks[0] + 1) % 3]))
+    expected = [_scored_alone(obj, theta) for obj, theta in pairs]
+    default = vqc._POOL_MAX_AMPLITUDES
+    try:
+        for limit in (0, default, 2**30):  # every pair alone, as shipped, all in one run
+            vqc._POOL_MAX_AMPLITUDES = limit
+            assert vqc.score_many(pairs) == expected
+    finally:
+        vqc._POOL_MAX_AMPLITUDES = default
+    assert [obj.score(theta) for obj, theta in pairs] == expected
+    assert [obj(theta) for obj, theta in pairs] == [loss for _, loss in expected]
+    assert objectives[0].losses(thetas).tolist() == [objectives[0](t) for t in thetas]
+
+
+def test_pooled_scores_share_runs(monkeypatch):
+    cfg = vqc.VqcConfig(4, 3, ansatz_reps=1)
+    rng = np.random.default_rng(3)
+    objectives = [vqc.DatasetObjective(rng.uniform(0, 2 * np.pi, (10, 4)),
+                                       rng.integers(0, 3, 10), cfg) for _ in range(3)]
+    theta_a, theta_b = rng.uniform(-np.pi, np.pi, (2, cfg.parameter_count))
+    real = vqc.apply_ansatz_batch
+    calls = []
+
+    def counting(amps, theta, config):
+        calls.append(np.shape(theta))
+        return real(amps, theta, config)
+
+    monkeypatch.setattr(vqc, "apply_ansatz_batch", counting)
+    pairs = [(objectives[0], theta_a), (objectives[1], theta_b), (objectives[2], theta_a)]
+    vqc.score_many(pairs)
+    assert calls == [(30, cfg.parameter_count)]  # 3 x 10 rows x 16 amplitudes, one run
+    calls.clear()
+    monkeypatch.setattr(vqc, "_POOL_MAX_AMPLITUDES", 0)
+    vqc.score_many(pairs)  # the two pairs at theta_a still share a run
+    assert calls == [(cfg.parameter_count,), (cfg.parameter_count,)]
+    with pytest.raises(ValueError):
+        vqc.score_many([(objectives[0], theta_a),
+                        (vqc.DatasetObjective(np.zeros((1, 4)), [0], CFG4), theta_a)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(qubits=st.integers(1, 8), entanglement=st.sampled_from(["full", "linear"]),
        ansatz_reps=st.integers(0, 3), feature_map_reps=st.integers(1, 2),
        class_count=st.integers(2, 4), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_shift_point_losses_match_pointwise_calls(qubits, entanglement, ansatz_reps,
